@@ -73,15 +73,48 @@ def _check_lengths(values: Sequence[PFN], weights: WeightVector) -> None:
         raise LengthMismatch("need at least one value")
 
 
+def linear_kernel(ms: Sequence[float], ns: Sequence[float], ws: Sequence[float]):
+    """(m, n) of the componentwise weighted mean; see `pfwa_linear`."""
+    return (
+        math.fsum(w * m for m, w in zip(ms, ws)),
+        math.fsum(w * n for n, w in zip(ns, ws)),
+    )
+
+
+def geometric_kernel(ms: Sequence[float], ns: Sequence[float], ws: Sequence[float]):
+    """(m, n) of the geometric weighted average; see `pfwa_geometric`."""
+    m_saturated = False
+    m_logs = []
+    n_zero = False
+    n_logs = []
+    for m, n, w in zip(ms, ns, ws):
+        if w == 0.0:
+            continue
+        s = min(m * m, 1.0)
+        if s == 1.0:
+            m_saturated = True
+        else:
+            m_logs.append(w * math.log1p(-s))
+        if n == 0.0:
+            n_zero = True
+        else:
+            n_logs.append(w * math.log(n))
+
+    # fsum makes both components exact sums of their terms, so permuting
+    # the (value, weight) pairs cannot change the result.
+    return (
+        1.0 if m_saturated else math.sqrt(-math.expm1(math.fsum(m_logs))),
+        0.0 if n_zero else math.exp(math.fsum(n_logs)),
+    )
+
+
 def pfwa_linear(values: Sequence[PFN], weights: WeightVector) -> PFN:
     """Componentwise weighted arithmetic mean of the values.
 
     Convexity of the unit quarter disk keeps the result valid.
     """
     _check_lengths(values, weights)
-    m = math.fsum(w * v.m for v, w in zip(values, weights))
-    n = math.fsum(w * v.n for v, w in zip(values, weights))
-    return PFN(m, n)
+    return PFN(*linear_kernel([v.m for v in values], [v.n for v in values], weights.values))
 
 
 def pfwa_geometric(values: Sequence[PFN], weights: WeightVector) -> PFN:
@@ -93,29 +126,7 @@ def pfwa_geometric(values: Sequence[PFN], weights: WeightVector) -> PFN:
     non-membership zeroes the product.
     """
     _check_lengths(values, weights)
-
-    m_saturated = False
-    m_logs = []
-    n_zero = False
-    n_logs = []
-    for v, w in zip(values, weights):
-        if w == 0.0:
-            continue
-        s = min(v.m * v.m, 1.0)
-        if s == 1.0:
-            m_saturated = True
-        else:
-            m_logs.append(w * math.log1p(-s))
-        if v.n == 0.0:
-            n_zero = True
-        else:
-            n_logs.append(w * math.log(v.n))
-
-    # fsum makes both components exact sums of their terms, so permuting
-    # the (value, weight) pairs cannot change the result.
-    m = 1.0 if m_saturated else math.sqrt(-math.expm1(math.fsum(m_logs)))
-    n = 0.0 if n_zero else math.exp(math.fsum(n_logs))
-    return PFN(m, n)
+    return PFN(*geometric_kernel([v.m for v in values], [v.n for v in values], weights.values))
 
 
 def pfwa_fold(values: Sequence[PFN], weights: WeightVector) -> PFN:

@@ -12,30 +12,20 @@ from pathlib import Path
 
 from . import laws
 from .aggregation import weights_from_importances
-from .decision import Aggregator, CombineRule, DecisionConfig, DecisionReport, decide
-from .errors import PhiSoftError
-from .io import emit_csv, emit_json, parse_csv, parse_json
-from .pfn import OrderKind
-from .softset import (
-    PhiSoftSet,
-    extended_intersection,
-    extended_union,
-    restricted_intersection,
-    restricted_union,
+from .decision import (
+    _COMBINE,
+    Aggregator,
+    CombineRule,
+    DecisionConfig,
+    DecisionReport,
+    decide,
 )
+from .errors import PhiSoftError
+from .io import _ORDER_TOKEN, emit_csv, emit_json, parse_csv, parse_json
+from .softset import PhiSoftSet
 
-_OPS = {
-    "eunion": extended_union,
-    "eintersect": extended_intersection,
-    "runion": restricted_union,
-    "rintersect": restricted_intersection,
-}
-
-_ORDERS = {
-    "es": OrderKind.ES_THEN_MEMBERSHIP,
-    "m": OrderKind.MEMBERSHIP_THEN_ES,
-    "sfaf": OrderKind.SCORE_ACCURACY,
-}
+_RULES = sorted(rule.value for rule in CombineRule)
+_ORDERS = {token: kind for kind, token in _ORDER_TOKEN.items()}
 
 
 def _load(path: str) -> PhiSoftSet:
@@ -60,7 +50,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_combine(args) -> int:
-    combined = _OPS[args.op](_load(args.a), _load(args.b))
+    combined = _COMBINE[CombineRule(args.op)](_load(args.a), _load(args.b))
     _write(args.output, combined)
     return 0
 
@@ -121,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("combine", help="combine two tables into one")
-    p.add_argument("--op", choices=sorted(_OPS), required=True)
+    p.add_argument("--op", choices=_RULES, required=True)
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("-o", "--output", required=True)
@@ -134,8 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="run the full decision procedure")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--op", choices=sorted(_OPS), default="eintersect")
-    p.add_argument("--agg", choices=["geometric", "linear"], default="geometric")
+    p.add_argument("--op", choices=_RULES, default="eintersect")
+    p.add_argument("--agg", choices=[a.value for a in Aggregator], default="geometric")
     p.add_argument("--order", choices=sorted(_ORDERS), default="es")
     p.add_argument("--json", metavar="OUT", help="also write the report as JSON")
     p.set_defaults(func=_cmd_decide)

@@ -13,8 +13,8 @@ from functools import cmp_to_key
 
 from .aggregation import (
     WeightVector,
-    pfwa_geometric,
-    pfwa_linear,
+    geometric_kernel,
+    linear_kernel,
     weights_from_importances,
 )
 from .pfn import PFN, OrderKind, Ordering, accuracy, compare, expectation_score, score
@@ -105,10 +105,13 @@ class DecisionReport:
 
 def _rank(softset: PhiSoftSet, config: DecisionConfig) -> DecisionReport:
     weights = weights_from_importances(softset.parameters)
-    aggregate = (
-        pfwa_geometric if config.aggregator is Aggregator.GEOMETRIC else pfwa_linear
+    kernel = (
+        geometric_kernel if config.aggregator is Aggregator.GEOMETRIC else linear_kernel
     )
-    values = {alt: aggregate(softset.row(alt), weights) for alt in softset.universe}
+    values = {
+        alt: PFN(*kernel(ms, ns, weights.values))
+        for alt, ms, ns in zip(softset.universe, softset.m.tolist(), softset.n.tolist())
+    }
 
     def descending(x: str, y: str) -> int:
         verdict = compare(values[x], values[y], config.ranking_order)

@@ -25,6 +25,10 @@ class DuplicateId(PhiSoftError, ValueError):
     """An alternative id or parameter name occurs more than once."""
 
 
+class InvalidId(PhiSoftError, ValueError):
+    """An alternative id or parameter name is empty or contains a separator."""
+
+
 class MissingCell(PhiSoftError, ValueError):
     """The cell table is not total over universe x parameters."""
 

@@ -16,10 +16,18 @@ import csv
 import json
 from io import StringIO
 
+import numpy as np
+
 from .decision import DecisionReport
-from .errors import InvalidPFN, NotPythagorean, OutOfRange, ParseError
-from .pfn import PFN, OrderKind, pfn_from_text, pfn_to_text
-from .softset import PFParameter, PhiSoftSet, build
+from .errors import InvalidPFN, MissingCell, NotPythagorean, OutOfRange, ParseError
+from .pfn import PFN, OrderKind, pair_from_text, pfn_to_text
+from .softset import (
+    PFParameter,
+    PhiSoftSet,
+    check_cells,
+    check_ids,
+    coerce_pfn,
+)
 
 IMPORTANCE_ROW_ID = "__f__"
 
@@ -31,12 +39,13 @@ _ORDER_TOKEN = {
 
 
 def _as_text(data: bytes | str) -> str:
+    """The document as text, without a leading UTF-8 byte order mark."""
     if isinstance(data, bytes):
         try:
-            return data.decode("utf-8")
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8: {exc}") from None
-    return data
+    return data.removeprefix("\ufeff")
 
 
 def _reassemble_parenthesized(fields: list[str], line: int) -> list[str]:
@@ -58,20 +67,28 @@ def _reassemble_parenthesized(fields: list[str], line: int) -> list[str]:
     return out
 
 
-def _parse_cell(text: str, what: str, line: int, column: int) -> PFN:
+def _parse_row(values: list[str], line: int) -> tuple[list[float], list[float]]:
+    """The memberships and non-memberships of one row's ``m,n`` cells."""
     try:
-        return pfn_from_text(text)
-    except ParseError as exc:
-        raise ParseError(str(exc), line=line, column=column) from None
-    except (OutOfRange, NotPythagorean) as exc:
-        raise InvalidPFN(f"{what} at line {line}: {exc}") from None
+        pairs = [v.split(",") for v in values]
+        return [float(m) for m, _ in pairs], [float(n) for _, n in pairs]
+    except ValueError:  # parenthesized or malformed cells: read one at a time
+        pass
+    pairs = []
+    for column, text in enumerate(values):
+        try:
+            pairs.append(pair_from_text(text))
+        except ParseError as exc:
+            raise ParseError(str(exc), line=line, column=column + 2) from None
+    return [m for m, _ in pairs], [n for _, n in pairs]
 
 
 def parse_csv(data: bytes | str) -> PhiSoftSet:
     """Parse the CSV table grammar into a validated soft set."""
+    text = _as_text(data)
     rows = [
         (i + 1, fields)
-        for i, fields in enumerate(csv.reader(_as_text(data).splitlines()))
+        for i, fields in enumerate(csv.reader(text.splitlines()))
         if any(f.strip() for f in fields)
     ]
     if not rows:
@@ -85,47 +102,56 @@ def parse_csv(data: bytes | str) -> PhiSoftSet:
     if not names:
         raise ParseError("header names no parameters", line=header_line)
 
+    # Only a table with a "(" anywhere can hold parenthesized cells.
+    parenthesized = "(" in text
     universe: list[str] = []
-    cells: dict[tuple[str, str], PFN] = {}
-    importances: dict[str, PFN] | None = None
+    lines: list[int] = []
+    ms: list[list[float]] = []
+    ns: list[list[float]] = []
+    importances: list[PFN] | None = None
     for line, fields in rows[1:]:
         if importances is not None:
             raise ParseError(
                 f"row after the {IMPORTANCE_ROW_ID} importance row", line=line
             )
         alt = fields[0].strip()
-        values = _reassemble_parenthesized(fields[1:], line)
+        values = fields[1:]
+        if parenthesized:
+            values = _reassemble_parenthesized(values, line)
         if len(values) != len(names):
             raise ParseError(
                 f"expected {len(names)} cells, got {len(values)}", line=line
             )
+        row_m, row_n = _parse_row(values, line)
         if alt == IMPORTANCE_ROW_ID:
-            importances = {
-                name: _parse_cell(
-                    text, f"importance of {name!r}", line, column + 2
-                )
-                for column, (name, text) in enumerate(zip(names, values))
-            }
+            importances = [
+                coerce_pfn(pair, f"importance of {name!r} at line {line}")
+                for name, pair in zip(names, zip(row_m, row_n))
+            ]
             continue
         universe.append(alt)
-        for column, (name, text) in enumerate(zip(names, values)):
-            cells[(alt, name)] = _parse_cell(
-                text, f"cell ({alt}, {name})", line, column + 2
-            )
+        lines.append(line)
+        ms.append(row_m)
+        ns.append(row_n)
 
     if not universe:
         raise ParseError("no alternatives")
     if importances is None:
         raise ParseError(f"missing {IMPORTANCE_ROW_ID} importance row")
-    parameters = [PFParameter(name, importances[name]) for name in names]
-    return build(universe, parameters, cells)
+    alts = check_ids("alternative id", universe)
+    names = check_ids("parameter name", names)
+    m = np.array(ms, dtype=np.float64)
+    n = np.array(ns, dtype=np.float64)
+    check_cells(m, n, lambda i, j: f"cell ({alts[i]}, {names[j]}) at line {lines[i]}")
+    parameters = tuple(map(PFParameter, names, importances))
+    return PhiSoftSet(alts, parameters, m, n)
 
 
 def emit_csv(softset: PhiSoftSet) -> bytes:
     """Render a soft set in the CSV grammar (deterministic bytes)."""
     lines = [["id", *softset.parameter_names]]
-    for alt in softset.universe:
-        lines.append([alt, *(pfn_to_text(c) for c in softset.row(alt))])
+    for alt, ms, ns in zip(softset.universe, softset.m.tolist(), softset.n.tolist()):
+        lines.append([alt, *map("%r,%r".__mod__, zip(ms, ns))])
     lines.append(
         [IMPORTANCE_ROW_ID, *(pfn_to_text(p.importance) for p in softset.parameters)]
     )
@@ -146,7 +172,10 @@ def _expect(doc, path: str, kind: type, name: str):
 def _number(doc, path: str) -> float:
     if isinstance(doc, bool) or not isinstance(doc, (int, float)):
         raise ParseError("expected a number", path=path)
-    return float(doc)
+    try:
+        return float(doc)
+    except OverflowError:
+        raise ParseError("number out of range", path=path) from None
 
 
 def _pfn_from_fields(obj: dict, path: str, what: str) -> PFN:
@@ -161,12 +190,31 @@ def _pfn_from_fields(obj: dict, path: str, what: str) -> PFN:
         raise InvalidPFN(f"{what} ({path}): {exc}") from None
 
 
+def _cell_key(entry, path: str) -> tuple[str, str]:
+    """Check one cell entry's shape; its (alt, param) if the shape is right."""
+    _expect(entry, path, dict, "an object")
+    for key in ("alt", "param", "m", "n"):
+        if key not in entry:
+            raise ParseError(f"missing key {key!r}", path=path)
+    alt = _expect(entry["alt"], f"{path}.alt", str, "a string")
+    param = _expect(entry["param"], f"{path}.param", str, "a string")
+    _number(entry["m"], f"{path}.m")
+    _number(entry["n"], f"{path}.n")
+    return alt, param
+
+
+#: JSON number types; bool is excluded, as `_number` excludes it.
+_NUMBER_TYPES = (int, float)
+
+
 def parse_json(data: bytes | str) -> PhiSoftSet:
     """Parse a set (or report) document; reports yield their combined set."""
     try:
         doc = json.loads(_as_text(data))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
     _expect(doc, "$", dict, "an object")
     for key in ("universe", "parameters", "cells"):
@@ -191,34 +239,91 @@ def parse_json(data: bytes | str) -> PhiSoftSet:
             f"importance of {name!r}",
         )
         parameters.append(PFParameter(name, importance))
+    alts = check_ids("alternative id", alts)
+    names = check_ids("parameter name", (p.name for p in parameters))
 
-    cells: dict[tuple[str, str], PFN] = {}
-    for i, entry in enumerate(_expect(doc["cells"], "$.cells", list, "an array")):
-        path = f"$.cells[{i}]"
-        _expect(entry, path, dict, "an object")
-        for key in ("alt", "param", "m", "n"):
-            if key not in entry:
-                raise ParseError(f"missing key {key!r}", path=path)
-        alt = _expect(entry["alt"], f"{path}.alt", str, "a string")
-        param = _expect(entry["param"], f"{path}.param", str, "a string")
-        cells[(alt, param)] = _pfn_from_fields(entry, path, f"cell ({alt}, {param})")
+    entries = _expect(doc["cells"], "$.cells", list, "an array")
+    rows = {alt: i for i, alt in enumerate(alts)}
+    cols = {name: j for j, name in enumerate(names)}
+    width = len(names)
+    ms = [0.0] * (len(alts) * width)
+    ns = [0.0] * len(ms)
+    seen = bytearray(len(ms))
+    outside = []
+    for i, entry in enumerate(entries):
+        try:
+            alt, param, m, n = entry["alt"], entry["param"], entry["m"], entry["n"]
+            k = rows[alt] * width + cols[param]
+        except (KeyError, TypeError):
+            k = None
+        if k is None or type(m) not in _NUMBER_TYPES or type(n) not in _NUMBER_TYPES:
+            key = _cell_key(entry, f"$.cells[{i}]")
+            if k is None:
+                outside.append(key)
+                continue
+        if seen[k]:
+            raise ParseError(f"duplicate cell ({alt}, {param})", path=f"$.cells[{i}]")
+        seen[k] = 1
+        ms[k] = m
+        ns[k] = n
+    missing = seen.find(0)
+    if missing >= 0:
+        raise MissingCell(f"missing cell ({alts[missing // width]}, {names[missing % width]})")
+    if outside:
+        raise MissingCell(f"unexpected cells outside the table: {sorted(outside)[:5]}")
 
-    return build(alts, parameters, cells)
+    try:
+        m = np.array(ms, dtype=np.float64).reshape(len(alts), width)
+        n = np.array(ns, dtype=np.float64).reshape(m.shape)
+    except OverflowError:
+        for i, entry in enumerate(entries):
+            _cell_key(entry, f"$.cells[{i}]")
+        raise
+
+    def where(i: int, j: int) -> str:
+        alt, name = alts[i], names[j]
+        index = next(
+            k for k, e in enumerate(entries) if e["alt"] == alt and e["param"] == name
+        )
+        return f"cell ({alt}, {name}) ($.cells[{index}])"
+
+    check_cells(m, n, where)
+    return PhiSoftSet(alts, tuple(parameters), m, n)
 
 
 def _set_document(softset: PhiSoftSet) -> dict:
+    """The set as a JSON document; "cells" is a slot `emit_json` fills."""
     return {
         "universe": list(softset.universe),
         "parameters": [
             {"name": p.name, "importance": {"m": p.importance.m, "n": p.importance.n}}
             for p in softset.parameters
         ],
-        "cells": [
-            {"alt": alt, "param": name, "m": cell.m, "n": cell.n}
-            for alt in softset.universe
-            for name, cell in zip(softset.parameter_names, softset.row(alt))
-        ],
+        "cells": None,
     }
+
+
+def _cells_json(softset: PhiSoftSet) -> str:
+    """The "cells" array, written from the arrays in exactly the layout that
+    ``json.dumps(document, indent=2)`` gives a list of
+    ``{"alt", "param", "m", "n"}`` objects under a top-level key."""
+    if not softset.m.size:
+        return "[]"
+    width = len(softset.parameters)
+    row = ",\n".join(
+        '    {\n      "alt": %s,\n      "param": '
+        + json.dumps(name).replace("%", "%%")
+        + ',\n      "m": %r,\n      "n": %r\n    }'
+        for name in softset.parameter_names
+    )
+    args: list = [None] * (3 * width)
+    rows = []
+    for alt, ms, ns in zip(softset.universe, softset.m.tolist(), softset.n.tolist()):
+        args[0::3] = [json.dumps(alt)] * width
+        args[1::3] = ms
+        args[2::3] = ns
+        rows.append(row % tuple(args))
+    return "[\n" + ",\n".join(rows) + "\n  ]"
 
 
 def _report_document(report: DecisionReport) -> dict:
@@ -246,12 +351,18 @@ def _report_document(report: DecisionReport) -> dict:
     return doc
 
 
+#: Where `json.dumps(indent=2)` puts the top-level "cells": null; no string
+#: can hold it, since JSON strings never contain a raw newline.
+_CELLS_SLOT = '\n  "cells": null'
+
+
 def emit_json(obj: PhiSoftSet | DecisionReport) -> bytes:
     """Render a soft set or a decision report as deterministic JSON bytes."""
     if isinstance(obj, PhiSoftSet):
-        doc = _set_document(obj)
+        doc, softset = _set_document(obj), obj
     elif isinstance(obj, DecisionReport):
-        doc = _report_document(obj)
+        doc, softset = _report_document(obj), obj.combined
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    head, _, tail = json.dumps(doc, indent=2).partition(_CELLS_SLOT)
+    return f'{head}\n  "cells": {_cells_json(softset)}{tail}\n'.encode("utf-8")

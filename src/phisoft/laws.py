@@ -42,6 +42,7 @@ from .softset import (
     extended_union,
     is_subset,
     null_set,
+    pfn_close,
     restricted_intersection,
     restricted_union,
     whole_set,
@@ -77,10 +78,6 @@ def _sample_pfns(rng: np.random.Generator, count: int) -> list[PFN]:
 def _sample_alphas(rng: np.random.Generator, count: int) -> np.ndarray:
     """Positive exponents, log-uniform over [0.05, 4]."""
     return np.exp(rng.uniform(math.log(0.05), math.log(4.0), count))
-
-
-def _close(a: PFN, b: PFN) -> bool:
-    return abs(a.m - b.m) <= COMPARE_EPS and abs(a.n - b.n) <= COMPARE_EPS
 
 
 def _diff(a: PFN, b: PFN) -> str:
@@ -121,10 +118,10 @@ def addition_and_multiplication_commute(rng, cases: int) -> LawResult:
     for i in range(cases):
         a, b = pairs[2 * i], pairs[2 * i + 1]
         left, right = add_p(a, b), add_p(b, a)
-        if not _close(left, right):
+        if not pfn_close(left, right):
             return LawResult(name, cases, f"add_p a={a!r} b={b!r} {_diff(left, right)}")
         left, right = mul_p(a, b), mul_p(b, a)
-        if not _close(left, right):
+        if not pfn_close(left, right):
             return LawResult(name, cases, f"mul_p a={a!r} b={b!r} {_diff(left, right)}")
     return LawResult(name, cases)
 
@@ -138,7 +135,7 @@ def scalar_distributes_over_addition(rng, cases: int) -> LawResult:
         alpha = float(alphas[i])
         left = scalar_mul(alpha, add_p(a, b))
         right = add_p(scalar_mul(alpha, a), scalar_mul(alpha, b))
-        if not _close(left, right):
+        if not pfn_close(left, right):
             return LawResult(
                 name, cases, f"a={a!r} b={b!r} alpha={alpha!r} {_diff(left, right)}"
             )
@@ -154,7 +151,7 @@ def scalar_multiples_add(rng, cases: int) -> LawResult:
         a1, a2 = float(alphas[2 * i]), float(alphas[2 * i + 1])
         left = add_p(scalar_mul(a1, a), scalar_mul(a2, a))
         right = scalar_mul(a1 + a2, a)
-        if not _close(left, right):
+        if not pfn_close(left, right):
             return LawResult(
                 name, cases, f"a={a!r} a1={a1!r} a2={a2!r} {_diff(left, right)}"
             )
@@ -170,7 +167,7 @@ def power_distributes_over_product(rng, cases: int) -> LawResult:
         alpha = float(alphas[i])
         left = power(mul_p(a, b), alpha)
         right = mul_p(power(a, alpha), power(b, alpha))
-        if not _close(left, right):
+        if not pfn_close(left, right):
             return LawResult(
                 name, cases, f"a={a!r} b={b!r} alpha={alpha!r} {_diff(left, right)}"
             )
@@ -186,7 +183,7 @@ def powers_multiply(rng, cases: int) -> LawResult:
         a1, a2 = float(alphas[2 * i]), float(alphas[2 * i + 1])
         left = mul_p(power(a, a1), power(a, a2))
         right = power(a, a1 + a2)
-        if not _close(left, right):
+        if not pfn_close(left, right):
             return LawResult(
                 name, cases, f"a={a!r} a1={a1!r} a2={a2!r} {_diff(left, right)}"
             )

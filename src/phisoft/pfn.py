@@ -193,11 +193,10 @@ def pfn_to_text(x: PFN) -> str:
     return f"{x.m!r},{x.n!r}"
 
 
-def pfn_from_text(text: str) -> PFN:
-    """Parse ``m,n`` with optional surrounding parentheses and whitespace.
+def pair_from_text(text: str) -> tuple[float, float]:
+    """Read ``m,n`` with optional surrounding parentheses and whitespace.
 
-    Raises ParseError for malformed text; OutOfRange / NotPythagorean when
-    the parsed pair is not a valid PFN.
+    Raises ParseError for malformed text; the pair is not range-checked.
     """
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
@@ -206,8 +205,15 @@ def pfn_from_text(text: str) -> PFN:
     if len(parts) != 2:
         raise ParseError(f"expected two comma-separated numbers, got {text!r}")
     try:
-        m = float(parts[0])
-        n = float(parts[1])
+        return float(parts[0]), float(parts[1])
     except ValueError:
         raise ParseError(f"expected two comma-separated numbers, got {text!r}") from None
-    return PFN(m, n)
+
+
+def pfn_from_text(text: str) -> PFN:
+    """Parse ``m,n`` with optional surrounding parentheses and whitespace.
+
+    Raises ParseError for malformed text; OutOfRange / NotPythagorean when
+    the parsed pair is not a valid PFN.
+    """
+    return PFN(*pair_from_text(text))

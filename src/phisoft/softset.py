@@ -3,25 +3,32 @@
 A soft set here couples a universe of alternatives with a family of
 parameters, where each parameter carries a PFN importance degree and each
 (alternative, parameter) cell holds a PFN describing how well the
-alternative satisfies the parameter.  Sets are immutable after `build`;
-the combination operators return new sets.
+alternative satisfies the parameter.  The cells are stored once, as two
+read-only float64 arrays of memberships and non-memberships; `cell`, `row`
+and `cells` build PFN views of them on demand.  Sets are immutable after
+`build`; the combination operators return new sets.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import product
+
+import numpy as np
 
 from .errors import (
     DuplicateId,
     EmptyIntersection,
+    InvalidId,
     InvalidPFN,
     MissingCell,
     NotPythagorean,
     OutOfRange,
     UniverseMismatch,
 )
-from .pfn import COMPARE_EPS, PFN
+from .pfn import COMPARE_EPS, VALIDITY_EPS, PFN, OrderKind, Ordering, compare, join, meet
 
 PFNLike = PFN | tuple
 
@@ -38,42 +45,106 @@ class PFParameter:
 class PhiSoftSet:
     """Universe x PF-weighted parameters with one PFN per table cell.
 
-    Construct through `build`, which validates everything; the dataclass
-    itself stores already-checked data.  Use `equals` for the
-    order-insensitive domain equality.
+    `m[i, j]` and `n[i, j]` are the cell of `universe[i]` under
+    `parameters[j]`; both arrays are read-only.  Construct through `build`
+    (or a parser), which validates everything; the dataclass itself stores
+    already-checked data.  Use `equals` for the order-insensitive domain
+    equality.
     """
 
     universe: tuple[str, ...]
     parameters: tuple[PFParameter, ...]
-    cells: dict[tuple[str, str], PFN] = field(repr=False)
+    m: np.ndarray = field(repr=False)
+    n: np.ndarray = field(repr=False)
+    parameter_names: tuple[str, ...] = field(init=False, repr=False)
+    _index: tuple[dict[str, int], dict[str, int]] | None = field(
+        default=None, init=False, repr=False
+    )
 
-    @property
-    def parameter_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.parameters)
+    def __post_init__(self):
+        object.__setattr__(self, "parameter_names", tuple([p.name for p in self.parameters]))
+        self.m.setflags(write=False)
+        self.n.setflags(write=False)
+
+    def __reduce__(self):
+        # Copies and unpickled sets go through __post_init__, which freezes
+        # their arrays.
+        return PhiSoftSet, (self.universe, self.parameters, self.m, self.n)
+
+    def _lookup(self) -> tuple[dict[str, int], dict[str, int]]:
+        """(alternative -> row, parameter name -> column), built on first use."""
+        if self._index is None:
+            rows = {alt: i for i, alt in enumerate(self.universe)}
+            cols = {name: j for j, name in enumerate(self.parameter_names)}
+            object.__setattr__(self, "_index", (rows, cols))
+        return self._index
 
     def parameter(self, name: str) -> PFParameter:
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        raise KeyError(name)
+        return self.parameters[self._lookup()[1][name]]
 
     def cell(self, alternative: str, name: str) -> PFN:
-        return self.cells[(alternative, name)]
+        rows, cols = self._lookup()
+        i, j = rows[alternative], cols[name]
+        return PFN(self.m.item(i, j), self.n.item(i, j))
 
     def row(self, alternative: str) -> tuple[PFN, ...]:
         """The alternative's cells in parameter order."""
-        return tuple(self.cells[(alternative, p.name)] for p in self.parameters)
+        i = self._lookup()[0][alternative]
+        return tuple(map(PFN, self.m[i].tolist(), self.n[i].tolist()))
+
+    @property
+    def cells(self) -> Mapping[tuple[str, str], PFN]:
+        """The cells as a read-only (alternative, name) -> PFN mapping."""
+        return _CellView(self)
 
 
-def _check_id(kind: str, value) -> str:
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"{kind} must be a non-empty string, got {value!r}")
-    if "," in value or "\n" in value or "\r" in value:
-        raise ValueError(f"{kind} {value!r} may not contain commas or newlines")
-    return value
+class _CellView(Mapping):
+    """A set's cells as a mapping; each PFN is built when it is read."""
+
+    __slots__ = ("_set",)
+
+    def __init__(self, softset: PhiSoftSet):
+        self._set = softset
+
+    def __getitem__(self, key) -> PFN:
+        try:
+            return self._set.cell(*key)
+        except (KeyError, TypeError):
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        return product(self._set.universe, self._set.parameter_names)
+
+    def __len__(self) -> int:
+        return self._set.m.size
+
+    def _dict(self) -> dict[tuple[str, str], PFN]:
+        """Every cell, read from the arrays in one pass, not key by key."""
+        s = self._set
+        return dict(zip(self, map(PFN, s.m.ravel().tolist(), s.n.ravel().tolist())))
+
+    def items(self):
+        return self._dict().items()
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
 
 
-def _coerce_pfn(value: PFNLike, what: str) -> PFN:
+def check_ids(kind: str, values: Iterable[str]) -> tuple[str, ...]:
+    """Validate ids of one kind ("alternative id", "parameter name")."""
+    values = tuple(values)
+    for value in values:
+        if not isinstance(value, str) or not value:
+            raise InvalidId(f"{kind} must be a non-empty string, got {value!r}")
+        if "," in value or "\n" in value or "\r" in value:
+            raise InvalidId(f"{kind} {value!r} may not contain commas or newlines")
+    if len(set(values)) != len(values):
+        dupes = sorted(v for v, count in Counter(values).items() if count > 1)
+        raise DuplicateId(f"duplicate {kind}s: {', '.join(dupes)}")
+    return values
+
+
+def coerce_pfn(value: PFNLike, what: str) -> PFN:
     if isinstance(value, PFN):
         return value
     try:
@@ -81,6 +152,19 @@ def _coerce_pfn(value: PFNLike, what: str) -> PFN:
         return PFN(m, n)
     except (OutOfRange, NotPythagorean, TypeError, ValueError) as exc:
         raise InvalidPFN(f"{what}: {exc}") from None
+
+
+def check_cells(m: np.ndarray, n: np.ndarray, where) -> None:
+    """Raise InvalidPFN for the first cell, row-major, that is not a valid PFN.
+
+    The test is PFN's own, over whole arrays; `where(i, j)` names cell (i, j)
+    in the message.
+    """
+    ok = (m >= 0.0) & (m <= 1.0) & (n >= 0.0) & (n <= 1.0)
+    ok &= m * m + n * n <= 1.0 + VALIDITY_EPS
+    if not ok.all():
+        i, j = (int(k) for k in np.argwhere(~ok)[0])
+        coerce_pfn((m.item(i, j), n.item(i, j)), where(i, j))
 
 
 def build(
@@ -94,44 +178,105 @@ def build(
     pairs, and cell values may be PFNs or (m, n) pairs.  The cell mapping
     must be total: exactly one entry per (alternative, parameter name).
 
-    Raises DuplicateId, MissingCell, or InvalidPFN (with the offending
-    coordinates in the message).
+    Raises InvalidId, DuplicateId, MissingCell, or InvalidPFN (with the
+    offending coordinates in the message).
     """
-    alts = tuple(_check_id("alternative id", a) for a in universe)
-    if len(set(alts)) != len(alts):
-        dupes = sorted({a for a in alts if alts.count(a) > 1})
-        raise DuplicateId(f"duplicate alternative ids: {', '.join(dupes)}")
-
+    alts = check_ids("alternative id", universe)
     params = []
     for entry in parameters:
         if isinstance(entry, PFParameter):
+            if isinstance(entry.importance, PFN):
+                params.append(entry)
+                continue
             name, importance = entry.name, entry.importance
         else:
             name, importance = entry
-        params.append(
-            PFParameter(name, _coerce_pfn(importance, f"importance of {name!r}"))
-        )
-    names = tuple(_check_id("parameter name", p.name) for p in params)
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise DuplicateId(f"duplicate parameter names: {', '.join(dupes)}")
+        params.append(PFParameter(name, coerce_pfn(importance, f"importance of {name!r}")))
+    params = tuple(params)
+    names = check_ids("parameter name", (p.name for p in params))
 
-    table: dict[tuple[str, str], PFN] = {}
+    ms, ns = [], []
+    all_pfns = True  # PFNs are valid by construction
     for alt in alts:
         for name in names:
-            key = (alt, name)
-            if key not in cells:
-                raise MissingCell(f"missing cell ({alt}, {name})")
-            table[key] = _coerce_pfn(cells[key], f"cell ({alt}, {name})")
-    if len(cells) != len(table):
-        extras = sorted(set(cells) - set(table))
+            try:
+                value = cells[alt, name]
+            except KeyError:
+                raise MissingCell(f"missing cell ({alt}, {name})") from None
+            if isinstance(value, PFN):
+                ms.append(value.m)
+                ns.append(value.n)
+                continue
+            all_pfns = False
+            try:
+                m, n = value
+            except (TypeError, ValueError):
+                coerce_pfn(value, f"cell ({alt}, {name})")  # raises, naming the cell
+            ms.append(m)
+            ns.append(n)
+    if len(cells) != len(ms):
+        extras = sorted(set(cells) - set(product(alts, names)))
         raise MissingCell(f"unexpected cells outside the table: {extras[:5]}")
 
-    return PhiSoftSet(alts, tuple(params), table)
+    def where(i: int, j: int) -> str:
+        return f"cell ({alts[i]}, {names[j]})"
+
+    if not all_pfns:
+        try:
+            ms, ns = list(map(float, ms)), list(map(float, ns))
+        except (TypeError, ValueError):
+            for i, j in product(range(len(alts)), range(len(names))):
+                coerce_pfn(cells[alts[i], names[j]], where(i, j))
+            raise
+    shape = (len(alts), len(names))
+    m = np.array(ms, dtype=np.float64).reshape(shape)
+    n = np.array(ns, dtype=np.float64).reshape(shape)
+    if not all_pfns:
+        check_cells(m, n, where)
+    return PhiSoftSet(alts, params, m, n)
 
 
-def _lattice_leq(a: PFN, b: PFN) -> bool:
-    return a.m <= b.m and a.n >= b.n
+def _same_universe(a: PhiSoftSet, b: PhiSoftSet) -> bool:
+    return a.universe == b.universe or set(a.universe) == set(b.universe)
+
+
+def _rows(universe: tuple[str, ...], b: PhiSoftSet) -> list[int] | None:
+    """b's row of each alternative, or None if b lists them in this order."""
+    if universe == b.universe:
+        return None
+    rows = b._lookup()[0]
+    return [rows[alt] for alt in universe]
+
+
+def _columns(names: tuple[str, ...], b: PhiSoftSet) -> list[int] | None:
+    """b's column of each parameter name, or None if b lists them in this
+    order.  Raises KeyError for a name b lacks."""
+    if names == b.parameter_names:
+        return None
+    cols = b._lookup()[1]
+    return [cols[name] for name in names]
+
+
+def _gather(values: np.ndarray, rows, cols) -> np.ndarray:
+    """`values` restricted to the given rows and columns; None keeps all."""
+    if rows is not None:
+        values = values.take(rows, axis=0)
+    if cols is not None:
+        values = values.take(cols, axis=1)
+    return values
+
+
+def _aligned(a: PhiSoftSet, b: PhiSoftSet):
+    """b's parameters, m and n in a's order (the universes must match).
+
+    Raises KeyError for a parameter name of a that b lacks.
+    """
+    rows, cols = _rows(a.universe, b), _columns(a.parameter_names, b)
+    others = b.parameters if cols is None else [b.parameters[k] for k in cols]
+    return others, _gather(b.m, rows, cols), _gather(b.n, rows, cols)
+
+
+_LATTICE_LEQ = (Ordering.LESS, Ordering.EQUAL)
 
 
 def is_subset(a: PhiSoftSet, b: PhiSoftSet) -> bool:
@@ -141,20 +286,20 @@ def is_subset(a: PhiSoftSet, b: PhiSoftSet) -> bool:
     `b` with a lattice-dominating importance, and every cell of `a`
     lattice-dominated by the matching cell of `b`.
     """
-    if set(a.universe) != set(b.universe):
+    if not _same_universe(a, b):
         return False
-    b_params = {p.name: p for p in b.parameters}
-    for p in a.parameters:
-        other = b_params.get(p.name)
-        if other is None or not _lattice_leq(p.importance, other.importance):
+    try:
+        others, bm, bn = _aligned(a, b)
+    except KeyError:
+        return False
+    for p, q in zip(a.parameters, others):
+        if compare(p.importance, q.importance, OrderKind.LATTICE) not in _LATTICE_LEQ:
             return False
-        for alt in a.universe:
-            if not _lattice_leq(a.cells[(alt, p.name)], b.cells[(alt, p.name)]):
-                return False
-    return True
+    return not np.count_nonzero((a.m > bm) | (a.n < bn))
 
 
-def _pfn_close(a: PFN, b: PFN) -> bool:
+def pfn_close(a: PFN, b: PFN) -> bool:
+    """Both components within COMPARE_EPS."""
     return abs(a.m - b.m) <= COMPARE_EPS and abs(a.n - b.n) <= COMPARE_EPS
 
 
@@ -164,61 +309,68 @@ def equals(a: PhiSoftSet, b: PhiSoftSet) -> bool:
     Components are compared within COMPARE_EPS; callers needing bit
     equality should compare fields directly.
     """
-    if set(a.universe) != set(b.universe):
+    if not _same_universe(a, b) or set(a.parameter_names) != set(b.parameter_names):
         return False
-    b_params = {p.name: p for p in b.parameters}
-    if {p.name for p in a.parameters} != set(b_params):
+    others, bm, bn = _aligned(a, b)
+    if not all(pfn_close(p.importance, q.importance) for p, q in zip(a.parameters, others)):
         return False
-    for p in a.parameters:
-        if not _pfn_close(p.importance, b_params[p.name].importance):
-            return False
-        for alt in a.universe:
-            if not _pfn_close(a.cells[(alt, p.name)], b.cells[(alt, p.name)]):
-                return False
-    return True
-
-
-def _merged_importance(pa: PFParameter, pb: PFParameter, union: bool) -> PFN:
-    ia, ib = pa.importance, pb.importance
-    if union:
-        return PFN(max(ia.m, ib.m), min(ia.n, ib.n))
-    return PFN(min(ia.m, ib.m), max(ia.n, ib.n))
+    if a.m.tobytes() == bm.tobytes() and a.n.tobytes() == bn.tobytes():
+        return True  # bit-identical cells; cheaper to see than the tolerance
+    return not np.count_nonzero(
+        (np.abs(a.m - bm) > COMPARE_EPS) | (np.abs(a.n - bn) > COMPARE_EPS)
+    )
 
 
 def _combine(a: PhiSoftSet, b: PhiSoftSet, union: bool, extended: bool) -> PhiSoftSet:
-    if set(a.universe) != set(b.universe):
+    if not _same_universe(a, b):
         raise UniverseMismatch(
             f"universes differ: {sorted(a.universe)} vs {sorted(b.universe)}"
         )
-    a_names = set(a.parameter_names)
-    b_params = {p.name: p for p in b.parameters}
-
-    params: list[PFParameter] = []
-    cells: dict[tuple[str, str], PFN] = {}
-    for p in a.parameters:
-        other = b_params.get(p.name)
-        if other is not None:
-            params.append(PFParameter(p.name, _merged_importance(p, other, union)))
-            for alt in a.universe:
-                x, y = a.cells[(alt, p.name)], b.cells[(alt, p.name)]
-                if union:
-                    cells[(alt, p.name)] = PFN(max(x.m, y.m), min(x.n, y.n))
-                else:
-                    cells[(alt, p.name)] = PFN(min(x.m, y.m), max(x.n, y.n))
-        elif extended:
-            params.append(p)
-            for alt in a.universe:
-                cells[(alt, p.name)] = a.cells[(alt, p.name)]
-    if extended:
-        for p in b.parameters:
-            if p.name not in a_names:
-                params.append(p)
-                for alt in a.universe:
-                    cells[(alt, p.name)] = b.cells[(alt, p.name)]
-    elif not params:
+    # Join and meet of valid PFNs are valid, so the result needs no checks.
+    if union:
+        up, down, merge = np.maximum, np.minimum, join
+    else:
+        up, down, merge = np.minimum, np.maximum, meet
+    if not extended and not set(a.parameter_names) & set(b.parameter_names):
         raise EmptyIntersection("the parameter sets share no name")
+    rows = _rows(a.universe, b)
+    if a.parameter_names == b.parameter_names:
+        params = tuple(
+            PFParameter(p.name, merge(p.importance, q.importance))
+            for p, q in zip(a.parameters, b.parameters)
+        )
+        m = up(a.m, _gather(b.m, rows, None))
+        n = down(a.n, _gather(b.n, rows, None))
+        return PhiSoftSet(a.universe, params, m, n)
 
-    return build(a.universe, params, cells)
+    b_cols = b._lookup()[1]
+    params: list[PFParameter] = []
+    keep: list[int] = []  # a's columns in the result
+    mine: list[int] = []  # result columns of the shared parameters...
+    theirs: list[int] = []  # ...and their columns in b
+    for j, p in enumerate(a.parameters):
+        k = b_cols.get(p.name)
+        if k is not None:
+            mine.append(len(keep))
+            theirs.append(k)
+            p = PFParameter(p.name, merge(p.importance, b.parameters[k].importance))
+        elif not extended:
+            continue
+        keep.append(j)
+        params.append(p)
+
+    m, n = a.m[:, keep], a.n[:, keep]
+    if theirs:
+        m[:, mine] = up(m[:, mine], _gather(b.m, rows, theirs))
+        n[:, mine] = down(n[:, mine], _gather(b.n, rows, theirs))
+    if extended:
+        a_cols = a._lookup()[1]
+        extra = [k for k, q in enumerate(b.parameters) if q.name not in a_cols]
+        if extra:
+            params += [b.parameters[k] for k in extra]
+            m = np.hstack([m, _gather(b.m, rows, extra)])
+            n = np.hstack([n, _gather(b.n, rows, extra)])
+    return PhiSoftSet(a.universe, tuple(params), m, n)
 
 
 def extended_union(a: PhiSoftSet, b: PhiSoftSet) -> PhiSoftSet:
@@ -258,17 +410,17 @@ def constant_set(
     them per parameter name.
     """
     value = PFN(a, b)
-    universe = tuple(universe)
-    names = tuple(names)
+    alts = check_ids("alternative id", universe)
+    names = check_ids("parameter name", names)
     if importances is None:
-        params = [PFParameter(nm, value) for nm in names]
+        params = tuple(PFParameter(nm, value) for nm in names)
     else:
-        params = [
-            PFParameter(nm, _coerce_pfn(importances[nm], f"importance of {nm!r}"))
+        params = tuple(
+            PFParameter(nm, coerce_pfn(importances[nm], f"importance of {nm!r}"))
             for nm in names
-        ]
-    cells = {(alt, nm): value for alt in universe for nm in names}
-    return build(universe, params, cells)
+        )
+    shape = (len(alts), len(names))
+    return PhiSoftSet(alts, params, np.full(shape, value.m), np.full(shape, value.n))
 
 
 def null_set(universe: Iterable[str], names: Iterable[str]) -> PhiSoftSet:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from phisoft import equals, parse_csv, parse_json
 from phisoft.cli import main
 from conftest import TABLE1_CSV
@@ -134,3 +136,22 @@ def test_laws_reproducible(capsys):
     main(["laws", "--cases", "120", "--seed", "99"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "name, content, code",
+    [
+        pytest.param("bom.csv", "\ufeff" + TABLE1_CSV, 0, id="csv-utf8-bom"),
+        pytest.param(
+            "empty-id.csv", 'id,s1\n,"0.5,0.4"\n__f__,"0.5,0.4"\n', 1, id="csv-empty-alternative-id"
+        ),
+        pytest.param("deep.json", "[" * 100_000 + "]" * 100_000, 1, id="json-deep-nesting"),
+    ],
+)
+def test_validate_reports_errors_without_a_traceback(tmp_path, capsys, name, content, code):
+    path = tmp_path / name
+    path.write_text(content, encoding="utf-8")
+    assert main(["validate", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") == bool(code)
+    assert "Traceback" not in err

@@ -15,9 +15,11 @@ from phisoft import (
 )
 from phisoft.errors import (
     DuplicateId,
+    InvalidId,
     InvalidPFN,
     MissingCell,
     ParseError,
+    PhiSoftError,
 )
 from conftest import TABLE1_CSV, TABLE2_CSV, UNIVERSE
 
@@ -194,3 +196,50 @@ class TestReportJson:
     def test_emit_rejects_other_types(self):
         with pytest.raises(TypeError):
             emit_json({"not": "a soft set"})
+
+
+class TestErrorContract:
+    def _one_cell_document(self) -> dict:
+        return {
+            "universe": ["p1"],
+            "parameters": [{"name": "s1", "importance": {"m": 0.5, "n": 0.4}}],
+            "cells": [{"alt": "p1", "param": "s1", "m": 0.5, "n": 0.5}],
+        }
+
+    def test_duplicate_json_cell_is_rejected(self):
+        doc = self._one_cell_document()
+        doc["cells"].append({"alt": "p1", "param": "s1", "m": 0.1, "n": 0.2})
+        with pytest.raises(ParseError, match=r"\$\.cells\[1\]: duplicate cell \(p1, s1\)"):
+            parse_json(json.dumps(doc))
+
+    def test_json_cell_outside_the_table_is_a_missing_cell_error(self):
+        doc = self._one_cell_document()
+        doc["cells"].append({"alt": "p9", "param": "s1", "m": 0.1, "n": 0.2})
+        with pytest.raises(MissingCell, match=r"unexpected.*'p9'"):
+            parse_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "parse, data, error",
+        [
+            pytest.param(parse_csv, "\ufeff" + TABLE1_CSV, None, id="csv-utf8-bom"),
+            pytest.param(
+                parse_csv, ("\ufeff" + TABLE1_CSV).encode("utf-8"), None, id="csv-utf8-bom-bytes"
+            ),
+            pytest.param(
+                parse_csv,
+                'id,s1\n,"0.5,0.4"\n__f__,"0.5,0.4"\n',
+                InvalidId,
+                id="csv-empty-alternative-id",
+            ),
+            pytest.param(
+                parse_json, "[" * 100_000 + "]" * 100_000, ParseError, id="json-deep-nesting"
+            ),
+        ],
+    )
+    def test_probed_holes(self, table1, parse, data, error):
+        if error is None:
+            assert equals(parse(data), table1)
+            return
+        with pytest.raises(error) as info:
+            parse(data)
+        assert isinstance(info.value, PhiSoftError) and isinstance(info.value, ValueError)

@@ -1,5 +1,8 @@
 """Soft-set construction, subset/equality, and the combination operators."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -20,9 +23,11 @@ from phisoft import (
 from phisoft.errors import (
     DuplicateId,
     EmptyIntersection,
+    InvalidId,
     InvalidPFN,
     MissingCell,
     NotPythagorean,
+    PhiSoftError,
     UniverseMismatch,
 )
 from conftest import (
@@ -31,6 +36,8 @@ from conftest import (
     RESTRICTED_NAMES,
     TABLE1_CELLS,
     TABLE1_PARAMS,
+    TABLE2_CELLS,
+    TABLE2_PARAMS,
     UNION_GOLDEN,
     UNION_IMPORTANCES,
     UNIVERSE,
@@ -189,6 +196,23 @@ class TestCombinations:
                     assert cell.m <= up.m and cell.n >= up.n
                     assert down.m <= cell.m and down.n >= cell.n
 
+    def test_operand_order_does_not_matter(self, table1, table2):
+        shuffled = build(("p3", "p1", "p4", "p2"), TABLE2_PARAMS[::-1], TABLE2_CELLS)
+        ops = (
+            extended_union,
+            extended_intersection,
+            restricted_union,
+            restricted_intersection,
+        )
+        for op in ops:
+            want, got = op(table1, table2), op(table1, shuffled)
+            assert got.universe == UNIVERSE
+            assert set(got.parameter_names) == set(want.parameter_names)
+            for name in want.parameter_names:
+                assert got.parameter(name) == want.parameter(name)
+                for alt in UNIVERSE:
+                    assert got.cell(alt, name) == want.cell(alt, name), (op, alt, name)
+
     def test_universe_mismatch(self, table1):
         other = build(["q1"], TABLE1_PARAMS, {
             ("q1", name): (0.5, 0.5) for name, _ in TABLE1_PARAMS
@@ -260,3 +284,71 @@ class TestConstantSets:
             assert equals(restricted_union(x, whole), whole)
             assert equals(extended_intersection(x, whole), x)
             assert equals(restricted_intersection(x, whole), x)
+
+
+class TestDataModel:
+    def test_cells_are_two_read_only_arrays(self, table1):
+        assert table1.m.shape == table1.n.shape == (4, 4)
+        assert table1.m.dtype == table1.n.dtype == np.float64
+        assert table1.m[0, 0] == 0.7 and table1.n[2, 1] == 0.2
+        for values in (table1.m, table1.n):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0, 0] = 0.1
+        with pytest.raises(AttributeError):
+            table1.m = np.zeros((4, 4))
+
+    def test_derived_sets_are_read_only_too(self, table1, table2):
+        for s in (
+            extended_union(table1, table2),
+            restricted_intersection(table1, table2),
+            extended_intersection(table1, table1),
+            null_set(UNIVERSE, ("c1",)),
+            copy.deepcopy(table1),
+            pickle.loads(pickle.dumps(table1)),
+        ):
+            assert not s.m.flags.writeable and not s.n.flags.writeable
+
+    def test_no_pfn_is_stored_per_cell(self, table1):
+        table1.cell("p1", "s1")  # fill the lazy name -> index lookup
+        stored = [getattr(table1, slot) for slot in type(table1).__slots__]
+        pfns = [value for value in stored if isinstance(value, PFN)]
+        mappings = [value for value in stored if isinstance(value, dict)]
+        mappings += [d for value in stored if isinstance(value, tuple) for d in value
+                     if isinstance(d, dict)]
+        assert not pfns
+        assert not any(isinstance(v, PFN) for d in mappings for v in d.values())
+
+    def test_views_read_the_arrays(self, table1):
+        for i, alt in enumerate(UNIVERSE):
+            row = table1.row(alt)
+            for j, name in enumerate(table1.parameter_names):
+                expected = PFN(table1.m[i, j], table1.n[i, j])
+                assert table1.cell(alt, name) == row[j] == table1.cells[alt, name] == expected
+        assert len(table1.cells) == 16
+        assert dict(table1.cells.items()) == {k: PFN(*v) for k, v in TABLE1_CELLS.items()}
+        assert ("p9", "s1") not in table1.cells and "p1" not in table1.cells
+
+    def test_rebuilding_from_another_sets_cells(self, table1):
+        permuted = build(tuple(reversed(UNIVERSE)), TABLE1_PARAMS[::-1], table1.cells)
+        assert permuted.universe == tuple(reversed(UNIVERSE))
+        assert np.array_equal(permuted.m, table1.m[::-1, ::-1])
+        assert np.array_equal(permuted.n, table1.n[::-1, ::-1])
+        with pytest.raises(MissingCell, match="unexpected"):
+            build(UNIVERSE[:2], TABLE1_PARAMS, table1.cells)
+        with pytest.raises(MissingCell, match=r"\(p1, s9\)"):
+            build(UNIVERSE, TABLE1_PARAMS + [("s9", (0.5, 0.4))], table1.cells)
+
+    def test_equality_tolerance(self, table1):
+        def nudged(delta):
+            cells = dict(TABLE1_CELLS)
+            m, n = cells[("p3", "s5")]
+            cells[("p3", "s5")] = (m + delta, n)
+            return build(UNIVERSE, TABLE1_PARAMS, cells)
+
+        assert equals(table1, nudged(5e-13))
+        assert not equals(table1, nudged(5e-12))
+
+    def test_empty_ids_raise_a_package_error(self):
+        with pytest.raises(InvalidId):
+            build([""], [("s1", (0.5, 0.4))], {("", "s1"): (0.5, 0.5)})
+        assert issubclass(InvalidId, PhiSoftError) and issubclass(InvalidId, ValueError)
