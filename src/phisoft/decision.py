@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cmp_to_key
 
 from .aggregation import (
     WeightVector,
@@ -17,7 +16,8 @@ from .aggregation import (
     linear_kernel,
     weights_from_importances,
 )
-from .pfn import PFN, OrderKind, Ordering, accuracy, compare, expectation_score, score
+from .errors import InvalidConfig
+from .pfn import PFN, OrderKind, accuracy, expectation_score, order_key, score
 from .softset import (
     PhiSoftSet,
     extended_intersection,
@@ -61,7 +61,7 @@ class DecisionConfig:
 
     def __post_init__(self):
         if self.ranking_order is OrderKind.LATTICE:
-            raise ValueError("ranking needs a total order, not the lattice order")
+            raise InvalidConfig("ranking_order: needs a total order, not the lattice order")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,38 +105,18 @@ class DecisionReport:
 
 def _rank(softset: PhiSoftSet, config: DecisionConfig) -> DecisionReport:
     weights = weights_from_importances(softset.parameters)
-    kernel = (
-        geometric_kernel if config.aggregator is Aggregator.GEOMETRIC else linear_kernel
-    )
-    values = {
-        alt: PFN(*kernel(ms, ns, weights.values))
-        for alt, ms, ns in zip(softset.universe, softset.m.tolist(), softset.n.tolist())
-    }
-
-    def descending(x: str, y: str) -> int:
-        verdict = compare(values[x], values[y], config.ranking_order)
-        if verdict is Ordering.LESS:
-            return 1
-        if verdict is Ordering.GREATER:
-            return -1
-        # exact ties: larger membership first, then alternative id
-        if values[x].m != values[y].m:
-            return -1 if values[x].m > values[y].m else 1
-        return -1 if x < y else (1 if x > y else 0)
-
-    ordered = sorted(softset.universe, key=cmp_to_key(descending))
-    ranks = {alt: i + 1 for i, alt in enumerate(ordered)}
-    rows = tuple(
-        AlternativeMeasures(
-            alternative=alt,
-            apfdv=values[alt],
-            es=expectation_score(values[alt]),
-            sf=score(values[alt]),
-            af=accuracy(values[alt]),
-            rank=ranks[alt],
-        )
-        for alt in softset.universe
-    )
+    kernel = geometric_kernel if config.aggregator is Aggregator.GEOMETRIC else linear_kernel
+    measured, keys = [], []
+    for alt, ms, ns in zip(softset.universe, softset.m.tolist(), softset.n.tolist()):
+        apfdv = PFN(*kernel(ms, ns, weights.values))
+        measured.append((alt, apfdv, expectation_score(apfdv), score(apfdv), accuracy(apfdv)))
+        # descending key, then larger membership, then alternative id ascending
+        primary, tiebreak = order_key(config.ranking_order, apfdv.m, apfdv.n)
+        keys.append((-primary, -tiebreak, -apfdv.m, alt))
+    ranks = [0] * len(keys)
+    for rank, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__), 1):
+        ranks[i] = rank
+    rows = tuple(AlternativeMeasures(*row, rank) for row, rank in zip(measured, ranks))
     return DecisionReport(rows=rows, weights=weights, combined=softset, config=config)
 
 

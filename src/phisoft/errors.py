@@ -53,6 +53,10 @@ class UnknownAlternative(PhiSoftError, ValueError):
     """The requested alternative is not in the universe."""
 
 
+class InvalidConfig(PhiSoftError, ValueError):
+    """A decision setting names an option the procedure cannot use."""
+
+
 class ParseError(PhiSoftError, ValueError):
     """Malformed CSV or JSON input.
 

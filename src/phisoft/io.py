@@ -19,7 +19,7 @@ from io import StringIO
 import numpy as np
 
 from .decision import DecisionReport
-from .errors import InvalidPFN, MissingCell, NotPythagorean, OutOfRange, ParseError
+from .errors import InvalidId, InvalidPFN, MissingCell, NotPythagorean, OutOfRange, ParseError
 from .pfn import PFN, OrderKind, pair_from_text, pfn_to_text
 from .softset import (
     PFParameter,
@@ -86,11 +86,11 @@ def _parse_row(values: list[str], line: int) -> tuple[list[float], list[float]]:
 def parse_csv(data: bytes | str) -> PhiSoftSet:
     """Parse the CSV table grammar into a validated soft set."""
     text = _as_text(data)
-    rows = [
-        (i + 1, fields)
-        for i, fields in enumerate(csv.reader(text.splitlines()))
-        if any(f.strip() for f in fields)
-    ]
+    reader = csv.reader(text.splitlines())
+    try:
+        rows = [(reader.line_num, fields) for fields in reader if any(f.strip() for f in fields)]
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
     if not rows:
         raise ParseError("empty document")
 
@@ -149,6 +149,8 @@ def parse_csv(data: bytes | str) -> PhiSoftSet:
 
 def emit_csv(softset: PhiSoftSet) -> bytes:
     """Render a soft set in the CSV grammar (deterministic bytes)."""
+    if IMPORTANCE_ROW_ID in softset.universe:
+        raise InvalidId(f"alternative id {IMPORTANCE_ROW_ID!r} is reserved in CSV")
     lines = [["id", *softset.parameter_names]]
     for alt, ms, ns in zip(softset.universe, softset.m.tolist(), softset.n.tolist()):
         lines.append([alt, *map("%r,%r".__mod__, zip(ms, ns))])

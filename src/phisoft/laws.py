@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .pfn import (
     join,
     meet,
     mul_p,
+    order_key,
     power,
     scalar_mul,
     score,
@@ -194,23 +194,14 @@ def membership_then_es_is_partial_order(rng, cases: int) -> LawResult:
     """Reflexive, antisymmetric, and transitive on random triples."""
     name = "membership-then-es-is-partial-order"
     triples = _sample_pfns(rng, 3 * cases)
-    inverse = {
-        Ordering.LESS: Ordering.GREATER,
-        Ordering.EQUAL: Ordering.EQUAL,
-        Ordering.GREATER: Ordering.LESS,
-    }
-
-    def cmp(a: PFN, b: PFN) -> int:
-        return compare(a, b, _M_ES).value
-
     for i in range(cases):
         x, y, z = triples[3 * i : 3 * i + 3]
         if compare(x, x, _M_ES) is not Ordering.EQUAL:
             return LawResult(name, cases, f"not reflexive at x={x!r}")
         for a, b in ((x, y), (y, z), (x, z)):
-            if compare(b, a, _M_ES) is not inverse[compare(a, b, _M_ES)]:
+            if compare(b, a, _M_ES) is not Ordering(-compare(a, b, _M_ES).value):
                 return LawResult(name, cases, f"not antisymmetric: a={a!r} b={b!r}")
-        lo, mid, hi = sorted((x, y, z), key=cmp_to_key(cmp))
+        lo, mid, hi = sorted((x, y, z), key=lambda p: order_key(_M_ES, p.m, p.n))
         if (
             compare(lo, mid, _M_ES) is Ordering.GREATER
             or compare(mid, hi, _M_ES) is Ordering.GREATER

@@ -21,7 +21,7 @@ from .errors import NonPositiveScalar, NotPythagorean, OutOfRange, ParseError
 #: Slack allowed on the validity constraint m**2 + n**2 <= 1.
 VALIDITY_EPS = 1e-9
 
-#: Tolerance for key equality in the lexicographic comparison orders and for
+#: Grid step of the lexicographic orders' primary key, and the tolerance of
 #: algebraic-law checks.
 COMPARE_EPS = 1e-12
 
@@ -156,22 +156,36 @@ def expectation_score(x: PFN) -> float:
     return (score(x) + 1.0) / 2.0
 
 
-def _lexicographic(k1a: float, k1b: float, k2a: float, k2b: float) -> Ordering:
-    if abs(k1a - k1b) > COMPARE_EPS:
-        return Ordering.LESS if k1a < k1b else Ordering.GREATER
-    if abs(k2a - k2b) > COMPARE_EPS:
-        return Ordering.LESS if k2a < k2b else Ordering.GREATER
-    return Ordering.EQUAL
+# Reading an enum member off its class runs a descriptor; these are plain loads.
+_LATTICE, _ES_THEN_M = OrderKind.LATTICE, OrderKind.ES_THEN_MEMBERSHIP
+_M_THEN_ES, _SCORE_ACCURACY = OrderKind.MEMBERSHIP_THEN_ES, OrderKind.SCORE_ACCURACY
+
+
+def order_key(order: OrderKind, m: float, n: float) -> tuple[float, float]:
+    """Sort key of a total order for the PFN (m, n): the order's primary (ES, m
+    or score) snapped down to the COMPARE_EPS grid, then its tiebreak (m, ES or
+    accuracy).  Unlike a tolerance, a key is transitive.  The measures are
+    written out, rounding exactly as `score`, `accuracy` and `expectation_score`
+    do, because `compare` is the law suites' hot path.
+    """
+    if order is _M_THEN_ES:
+        return m / COMPARE_EPS // 1.0, (m * m - n * n + 1.0) / 2.0
+    if order is _ES_THEN_M:
+        return (m * m - n * n + 1.0) / 2.0 / COMPARE_EPS // 1.0, m
+    if order is _SCORE_ACCURACY:
+        return (m * m - n * n) / COMPARE_EPS // 1.0, m * m + n * n
+    raise TypeError(f"not a total order: {order!r}")
 
 
 def compare(a: PFN, b: PFN, order: OrderKind) -> Ordering:
     """Compare two PFNs under the given order.
 
     The lattice order is genuinely partial and may return INCOMPARABLE.  The
-    three lexicographic orders are total; their keys are considered equal
-    when they differ by at most COMPARE_EPS.
+    three lexicographic orders are total: they compare `order_key`, so two
+    PFNs tie only when their primaries share a COMPARE_EPS grid cell (and so
+    lie within COMPARE_EPS) and their tiebreaks are equal.
     """
-    if order is OrderKind.LATTICE:
+    if order is _LATTICE:
         if a.m == b.m and a.n == b.n:
             return Ordering.EQUAL
         if a.m <= b.m and a.n >= b.n:
@@ -179,13 +193,8 @@ def compare(a: PFN, b: PFN, order: OrderKind) -> Ordering:
         if a.m >= b.m and a.n <= b.n:
             return Ordering.GREATER
         return Ordering.INCOMPARABLE
-    if order is OrderKind.SCORE_ACCURACY:
-        return _lexicographic(score(a), score(b), accuracy(a), accuracy(b))
-    if order is OrderKind.MEMBERSHIP_THEN_ES:
-        return _lexicographic(a.m, b.m, expectation_score(a), expectation_score(b))
-    if order is OrderKind.ES_THEN_MEMBERSHIP:
-        return _lexicographic(expectation_score(a), expectation_score(b), a.m, b.m)
-    raise TypeError(f"unknown order kind: {order!r}")
+    ka, kb = order_key(order, a.m, a.n), order_key(order, b.m, b.n)
+    return Ordering.EQUAL if ka == kb else Ordering.LESS if ka < kb else Ordering.GREATER
 
 
 def pfn_to_text(x: PFN) -> str:

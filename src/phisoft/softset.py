@@ -11,6 +11,7 @@ and `cells` build PFN views of them on demand.  Sets are immutable after
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -130,14 +131,21 @@ class _CellView(Mapping):
         return repr(self._dict())
 
 
+#: Commas, the line breaks str.splitlines knows, and surrogates (no UTF-8 form).
+_forbidden = re.compile("[,\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]").search
+
+
 def check_ids(kind: str, values: Iterable[str]) -> tuple[str, ...]:
     """Validate ids of one kind ("alternative id", "parameter name")."""
     values = tuple(values)
     for value in values:
         if not isinstance(value, str) or not value:
             raise InvalidId(f"{kind} must be a non-empty string, got {value!r}")
-        if "," in value or "\n" in value or "\r" in value:
-            raise InvalidId(f"{kind} {value!r} may not contain commas or newlines")
+        if value != value.strip():
+            raise InvalidId(f"{kind} {value!r} starts or ends with whitespace")
+    if _forbidden("".join(values)):
+        bad = next(v for v in values if _forbidden(v))
+        raise InvalidId(f"{kind} {bad!r} has a comma, line break or surrogate")
     if len(set(values)) != len(values):
         dupes = sorted(v for v, count in Counter(values).items() if count > 1)
         raise DuplicateId(f"duplicate {kind}s: {', '.join(dupes)}")

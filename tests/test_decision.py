@@ -18,6 +18,8 @@ from phisoft import (
 from phisoft.errors import (
     DegenerateWeights,
     EmptyIntersection,
+    InvalidConfig,
+    PhiSoftError,
     UniverseMismatch,
 )
 from conftest import TABLE1_PARAMS, UNIVERSE
@@ -161,8 +163,9 @@ def test_ranking_orders_can_change_the_result():
 
 
 def test_lattice_order_is_rejected_in_config():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig, match="ranking_order") as info:
         DecisionConfig(ranking_order=OrderKind.LATTICE)
+    assert isinstance(info.value, PhiSoftError) and isinstance(info.value, ValueError)
 
 
 def test_errors_propagate(table1, table2):
