@@ -9,7 +9,6 @@ and the five-step decision procedure.
 from . import errors
 from .aggregation import (
     WeightVector,
-    apfdv,
     pfwa_fold,
     pfwa_geometric,
     pfwa_linear,
@@ -80,7 +79,6 @@ __all__ = [
     "DecisionReport",
     "accuracy",
     "add_p",
-    "apfdv",
     "build",
     "compare",
     "complement",

@@ -1,4 +1,4 @@
-"""Weighted averaging of PFNs and the per-alternative decision value.
+"""Weighted averaging of PFNs.
 
 Two weighted-averaging operators are provided: a componentwise arithmetic
 mean and the geometric form that folds the Pythagorean sum over scalar
@@ -13,9 +13,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import DegenerateWeights, LengthMismatch, UnknownAlternative
+from .errors import DegenerateWeights, LengthMismatch
 from .pfn import PFN, add_p, expectation_score, scalar_mul
-from .softset import PFParameter, PhiSoftSet
+from .softset import PFParameter
 
 #: Allowed deviation of a weight vector's sum from 1.
 WEIGHT_SUM_EPS = 1e-9
@@ -31,13 +31,13 @@ class WeightVector:
         values = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if not values:
-            raise ValueError("weight vector may not be empty")
+            raise DegenerateWeights("weight vector may not be empty")
         for v in values:
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"weights must lie in [0, 1], got {v}")
+                raise DegenerateWeights(f"weights must lie in [0, 1], got {v}")
         total = math.fsum(values)
         if abs(total - 1.0) > WEIGHT_SUM_EPS:
-            raise ValueError(f"weights must sum to 1, got {total}")
+            raise DegenerateWeights(f"weights must sum to 1, got {total}")
 
     def __iter__(self):
         return iter(self.values)
@@ -138,14 +138,3 @@ def pfwa_fold(values: Sequence[PFN], weights: WeightVector) -> PFN:
     _check_lengths(values, weights)
     return reduce(add_p, (scalar_mul(w, v) for v, w in zip(values, weights)))
 
-
-def apfdv(softset: PhiSoftSet, alternative: str) -> PFN:
-    """Aggregated decision value of one alternative.
-
-    The geometric weighted average of the alternative's row under the
-    expectation-score weights of the set's importances.
-    """
-    if alternative not in softset.universe:
-        raise UnknownAlternative(f"{alternative!r} is not in the universe")
-    weights = weights_from_importances(softset.parameters)
-    return pfwa_geometric(softset.row(alternative), weights)

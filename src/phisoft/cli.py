@@ -21,11 +21,11 @@ from .decision import (
     decide,
 )
 from .errors import PhiSoftError
-from .io import _ORDER_TOKEN, emit_csv, emit_json, parse_csv, parse_json
+from .io import emit_csv, emit_json, parse_csv, parse_json
+from .pfn import OrderKind
 from .softset import PhiSoftSet
 
 _RULES = sorted(rule.value for rule in CombineRule)
-_ORDERS = {token: kind for kind, token in _ORDER_TOKEN.items()}
 
 
 def _load(path: str) -> PhiSoftSet:
@@ -81,7 +81,7 @@ def _cmd_decide(args) -> int:
     config = DecisionConfig(
         combine=CombineRule(args.op),
         aggregator=Aggregator(args.agg),
-        ranking_order=_ORDERS[args.order],
+        ranking_order=OrderKind(args.order),
     )
     report = decide(_load(args.a), _load(args.b), config)
     print(_render_measures(report))
@@ -126,7 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--op", choices=_RULES, default="eintersect")
     p.add_argument("--agg", choices=[a.value for a in Aggregator], default="geometric")
-    p.add_argument("--order", choices=sorted(_ORDERS), default="es")
+    orders = sorted(o.value for o in OrderKind if o is not OrderKind.LATTICE)
+    p.add_argument("--order", choices=orders, default="es")
     p.add_argument("--json", metavar="OUT", help="also write the report as JSON")
     p.set_defaults(func=_cmd_decide)
 

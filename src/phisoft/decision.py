@@ -103,7 +103,19 @@ class DecisionReport:
         return self.ranking()[0]
 
 
-def _rank(softset: PhiSoftSet, config: DecisionConfig) -> DecisionReport:
+def decide(
+    a: PhiSoftSet, b: PhiSoftSet, config: DecisionConfig | None = None
+) -> DecisionReport:
+    """Run the full procedure on two expert soft sets."""
+    config = config or DecisionConfig()
+    return decide_single(_COMBINE[config.combine](a, b), config)
+
+
+def decide_single(
+    softset: PhiSoftSet, config: DecisionConfig | None = None
+) -> DecisionReport:
+    """Aggregate and rank one already-combined soft set (skips step 2)."""
+    config = config or DecisionConfig()
     weights = weights_from_importances(softset.parameters)
     kernel = geometric_kernel if config.aggregator is Aggregator.GEOMETRIC else linear_kernel
     measured, keys = [], []
@@ -118,20 +130,3 @@ def _rank(softset: PhiSoftSet, config: DecisionConfig) -> DecisionReport:
         ranks[i] = rank
     rows = tuple(AlternativeMeasures(*row, rank) for row, rank in zip(measured, ranks))
     return DecisionReport(rows=rows, weights=weights, combined=softset, config=config)
-
-
-def decide(
-    a: PhiSoftSet, b: PhiSoftSet, config: DecisionConfig | None = None
-) -> DecisionReport:
-    """Run the full procedure on two expert soft sets."""
-    config = config or DecisionConfig()
-    combined = _COMBINE[config.combine](a, b)
-    return _rank(combined, config)
-
-
-def decide_single(
-    softset: PhiSoftSet, config: DecisionConfig | None = None
-) -> DecisionReport:
-    """Aggregate and rank one already-combined soft set (skips step 2)."""
-    config = config or DecisionConfig()
-    return _rank(softset, config)

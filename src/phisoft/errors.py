@@ -46,11 +46,12 @@ class EmptyIntersection(PhiSoftError, ValueError):
 
 
 class DegenerateWeights(PhiSoftError, ValueError):
-    """No parameter importance has a positive expectation score."""
+    """A weight vector that cannot be used: empty, a weight outside [0, 1],
+    a sum other than 1, or no importance with a positive expectation score."""
 
 
-class UnknownAlternative(PhiSoftError, ValueError):
-    """The requested alternative is not in the universe."""
+class EmptyUniverse(PhiSoftError, ValueError):
+    """A soft set needs at least one alternative."""
 
 
 class InvalidConfig(PhiSoftError, ValueError):

@@ -19,8 +19,8 @@ from io import StringIO
 import numpy as np
 
 from .decision import DecisionReport
-from .errors import InvalidId, InvalidPFN, MissingCell, NotPythagorean, OutOfRange, ParseError
-from .pfn import PFN, OrderKind, pair_from_text, pfn_to_text
+from .errors import InvalidId, MissingCell, ParseError
+from .pfn import PFN, pair_from_text, pfn_to_text
 from .softset import (
     PFParameter,
     PhiSoftSet,
@@ -30,12 +30,6 @@ from .softset import (
 )
 
 IMPORTANCE_ROW_ID = "__f__"
-
-_ORDER_TOKEN = {
-    OrderKind.ES_THEN_MEMBERSHIP: "es",
-    OrderKind.MEMBERSHIP_THEN_ES: "m",
-    OrderKind.SCORE_ACCURACY: "sfaf",
-}
 
 
 def _as_text(data: bytes | str) -> str:
@@ -99,8 +93,6 @@ def parse_csv(data: bytes | str) -> PhiSoftSet:
     if not header or header[0] != "id":
         raise ParseError("header must start with 'id'", line=header_line)
     names = header[1:]
-    if not names:
-        raise ParseError("header names no parameters", line=header_line)
 
     # Only a table with a "(" anywhere can hold parenthesized cells.
     parenthesized = "(" in text
@@ -180,18 +172,6 @@ def _number(doc, path: str) -> float:
         raise ParseError("number out of range", path=path) from None
 
 
-def _pfn_from_fields(obj: dict, path: str, what: str) -> PFN:
-    for key in ("m", "n"):
-        if key not in obj:
-            raise ParseError(f"missing key {key!r}", path=path)
-    m = _number(obj["m"], f"{path}.m")
-    n = _number(obj["n"], f"{path}.n")
-    try:
-        return PFN(m, n)
-    except (OutOfRange, NotPythagorean) as exc:
-        raise InvalidPFN(f"{what} ({path}): {exc}") from None
-
-
 def _cell_key(entry, path: str) -> tuple[str, str]:
     """Check one cell entry's shape; its (alt, param) if the shape is right."""
     _expect(entry, path, dict, "an object")
@@ -235,12 +215,13 @@ def parse_json(data: bytes | str) -> PhiSoftSet:
         if "name" not in entry or "importance" not in entry:
             raise ParseError("missing key 'name' or 'importance'", path=path)
         name = _expect(entry["name"], f"{path}.name", str, "a string")
-        importance = _pfn_from_fields(
-            _expect(entry["importance"], f"{path}.importance", dict, "an object"),
-            f"{path}.importance",
-            f"importance of {name!r}",
-        )
-        parameters.append(PFParameter(name, importance))
+        path += ".importance"
+        importance = _expect(entry["importance"], path, dict, "an object")
+        for key in ("m", "n"):
+            if key not in importance:
+                raise ParseError(f"missing key {key!r}", path=path)
+        pair = _number(importance["m"], f"{path}.m"), _number(importance["n"], f"{path}.n")
+        parameters.append(PFParameter(name, coerce_pfn(pair, f"importance of {name!r} ({path})")))
     alts = check_ids("alternative id", alts)
     names = check_ids("parameter name", (p.name for p in parameters))
 
@@ -333,7 +314,7 @@ def _report_document(report: DecisionReport) -> dict:
         "config": {
             "combine": report.config.combine.value,
             "aggregator": report.config.aggregator.value,
-            "ranking_order": _ORDER_TOKEN[report.config.ranking_order],
+            "ranking_order": report.config.ranking_order.value,
         }
     }
     doc.update(_set_document(report.combined))

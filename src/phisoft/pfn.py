@@ -58,13 +58,14 @@ class OrderKind(Enum):
     """Which comparison order `compare` applies.
 
     LATTICE is the componentwise partial order (larger m, smaller n); the
-    other three are total lexicographic orders.
+    other three are total lexicographic orders.  Each value is the order's
+    CLI and JSON token.
     """
 
     LATTICE = "lattice"
-    SCORE_ACCURACY = "score-accuracy"
-    MEMBERSHIP_THEN_ES = "membership-then-es"
-    ES_THEN_MEMBERSHIP = "es-then-membership"
+    SCORE_ACCURACY = "sfaf"
+    MEMBERSHIP_THEN_ES = "m"
+    ES_THEN_MEMBERSHIP = "es"
 
 
 class Ordering(Enum):

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     DuplicateId,
     EmptyIntersection,
+    EmptyUniverse,
     InvalidId,
     InvalidPFN,
     MissingCell,
@@ -48,9 +49,9 @@ class PhiSoftSet:
 
     `m[i, j]` and `n[i, j]` are the cell of `universe[i]` under
     `parameters[j]`; both arrays are read-only.  Construct through `build`
-    (or a parser), which validates everything; the dataclass itself stores
-    already-checked data.  Use `equals` for the order-insensitive domain
-    equality.
+    (or a parser), which validates everything; the dataclass itself only
+    rejects an empty universe (EmptyUniverse).  Use `equals` for the
+    order-insensitive domain equality.
     """
 
     universe: tuple[str, ...]
@@ -63,6 +64,8 @@ class PhiSoftSet:
     )
 
     def __post_init__(self):
+        if not self.universe:
+            raise EmptyUniverse("the universe is empty: a soft set needs an alternative")
         object.__setattr__(self, "parameter_names", tuple([p.name for p in self.parameters]))
         self.m.setflags(write=False)
         self.n.setflags(write=False)
@@ -405,28 +408,12 @@ def restricted_intersection(a: PhiSoftSet, b: PhiSoftSet) -> PhiSoftSet:
     return _combine(a, b, union=False, extended=False)
 
 
-def constant_set(
-    universe: Iterable[str],
-    names: Iterable[str],
-    a: float,
-    b: float,
-    importances: Mapping[str, PFNLike] | None = None,
-) -> PhiSoftSet:
-    """A set whose every cell equals (a, b).
-
-    Importances default to (a, b) as well unless `importances` overrides
-    them per parameter name.
-    """
+def constant_set(universe: Iterable[str], names: Iterable[str], a: float, b: float) -> PhiSoftSet:
+    """A set whose every cell and every importance equals (a, b)."""
     value = PFN(a, b)
     alts = check_ids("alternative id", universe)
     names = check_ids("parameter name", names)
-    if importances is None:
-        params = tuple(PFParameter(nm, value) for nm in names)
-    else:
-        params = tuple(
-            PFParameter(nm, coerce_pfn(importances[nm], f"importance of {nm!r}"))
-            for nm in names
-        )
+    params = tuple(PFParameter(nm, value) for nm in names)
     shape = (len(alts), len(names))
     return PhiSoftSet(alts, params, np.full(shape, value.m), np.full(shape, value.n))
 

@@ -90,6 +90,11 @@ p4,"0.5,0.4","0.5,0.2","0.6,0.4","0.5,0.5"
 __f__,"0.1,0.6","0.7,0.2","0.4,0.5","0.6,0.3"
 """
 
+# A well-formed set document with no alternatives, which no soft set may have.
+EMPTY_UNIVERSE_JSON = """\
+{"universe": [], "parameters": [{"name": "c", "importance": {"m": 0.5, "n": 0.4}}], "cells": []}
+"""
+
 
 @pytest.fixture
 def table1():

@@ -9,14 +9,15 @@ from phisoft import (
     PFN,
     PFParameter,
     WeightVector,
-    apfdv,
+    build,
+    decide_single,
     extended_intersection,
     pfwa_fold,
     pfwa_geometric,
     pfwa_linear,
     weights_from_importances,
 )
-from phisoft.errors import DegenerateWeights, LengthMismatch, UnknownAlternative
+from phisoft.errors import DegenerateWeights, LengthMismatch
 
 PAPER_WEIGHTS = {
     "s1": 0.21001927,
@@ -68,12 +69,10 @@ class TestWeights:
             weights_from_importances([])
 
     def test_weight_vector_invariants(self):
-        with pytest.raises(ValueError):
-            WeightVector((0.6, 0.6))
-        with pytest.raises(ValueError):
-            WeightVector((1.2, -0.2))
-        with pytest.raises(ValueError):
-            WeightVector(())
+        for values in ((0.6, 0.6), (1.2, -0.2), ()):
+            with pytest.raises(DegenerateWeights) as info:
+                WeightVector(values)
+            assert isinstance(info.value, ValueError)
 
 
 class TestLinear:
@@ -206,31 +205,20 @@ class TestGeometric:
 
 
 class TestApfdv:
+    """The aggregated decision value of a row, as the report carries it."""
+
     def test_paper_row_p2(self, table1, table2):
         combined = extended_intersection(table1, table2)
-        got = apfdv(combined, "p2")
+        got = decide_single(combined).row("p2").apfdv
         assert got.m == pytest.approx(0.3601, abs=1e-3)
         assert got.n == pytest.approx(0.5271, abs=1e-3)
 
     def test_identical_cells_row(self):
-        from phisoft import build
-
         s = build(
             ["p1"],
             [("c1", (0.5, 0.4)), ("c2", (0.7, 0.2))],
             {("p1", "c1"): (0.3, 0.6), ("p1", "c2"): (0.3, 0.6)},
         )
-        got = apfdv(s, "p1")
+        got = decide_single(s).row("p1").apfdv
         assert got.m == pytest.approx(0.3, abs=1e-12)
         assert got.n == pytest.approx(0.6, abs=1e-12)
-
-    def test_unknown_alternative(self, table1):
-        with pytest.raises(UnknownAlternative):
-            apfdv(table1, "p9")
-
-    def test_degenerate_weights_propagate(self):
-        from phisoft import build
-
-        s = build(["p1"], [("c1", (0.0, 1.0))], {("p1", "c1"): (0.5, 0.5)})
-        with pytest.raises(DegenerateWeights):
-            apfdv(s, "p1")

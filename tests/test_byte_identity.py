@@ -29,7 +29,7 @@ from phisoft import (
     pfn_to_text,
 )
 from phisoft.cli import main
-from phisoft.io import IMPORTANCE_ROW_ID, _ORDER_TOKEN
+from phisoft.io import IMPORTANCE_ROW_ID
 from conftest import TABLE1_CELLS, TABLE1_PARAMS, TABLE2_CELLS, TABLE2_PARAMS, UNIVERSE
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -55,7 +55,7 @@ def _report_document(report) -> dict:
         "config": {
             "combine": report.config.combine.value,
             "aggregator": report.config.aggregator.value,
-            "ranking_order": _ORDER_TOKEN[report.config.ranking_order],
+            "ranking_order": report.config.ranking_order.value,
         }
     }
     doc.update(_set_document(report.combined))

@@ -6,7 +6,7 @@ import pytest
 
 from phisoft import equals, parse_csv, parse_json
 from phisoft.cli import main
-from conftest import TABLE1_CSV
+from conftest import EMPTY_UNIVERSE_JSON, TABLE1_CSV
 
 
 def test_validate_ok(table_files, capsys):
@@ -121,6 +121,16 @@ def test_decide_variants_run(table_files, capsys):
     ):
         assert main(["decide", str(a), str(b), *extra]) == 0
     capsys.readouterr()
+
+
+def test_decide_on_an_empty_universe_reports_an_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(EMPTY_UNIVERSE_JSON)
+    assert main(["decide", str(path), str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "universe is empty" in err
+    assert "Traceback" not in err
 
 
 def test_laws_smoke(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from phisoft import (
     PFN,
+    build,
     decide,
     emit_csv,
     emit_json,
@@ -15,13 +16,14 @@ from phisoft import (
 )
 from phisoft.errors import (
     DuplicateId,
+    EmptyUniverse,
     InvalidId,
     InvalidPFN,
     MissingCell,
     ParseError,
     PhiSoftError,
 )
-from conftest import TABLE1_CSV, TABLE2_CSV, UNIVERSE
+from conftest import EMPTY_UNIVERSE_JSON, TABLE1_CSV, TABLE2_CSV, UNIVERSE
 
 
 class TestParseCsv:
@@ -91,6 +93,14 @@ class TestEmitCsv:
     def test_round_trip(self, table1):
         assert equals(parse_csv(emit_csv(table1)), table1)
 
+    def test_round_trip_without_parameters(self):
+        softset = build(["p1"], [], {})
+        data = emit_csv(softset)
+        back = parse_csv(data)
+        assert back.universe == ("p1",)
+        assert back.parameters == ()
+        assert emit_csv(back) == data
+
     def test_deterministic(self, table1):
         assert emit_csv(table1) == emit_csv(table1)
 
@@ -120,6 +130,10 @@ class TestJson:
         }
         with pytest.raises(MissingCell):
             parse_json(json.dumps(doc))
+
+    def test_empty_universe_fails(self):
+        with pytest.raises(EmptyUniverse, match="universe is empty"):
+            parse_json(EMPTY_UNIVERSE_JSON)
 
     def test_schema_violations_name_the_path(self):
         cases = [

@@ -44,7 +44,7 @@ ids = st.text(min_size=1, max_size=6) | st.sampled_from(["p1", "id", IMPORTANCE_
 @st.composite
 def soft_sets(draw):
     universe = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
-    names = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(ids, min_size=0, max_size=4, unique=True))
     params = [(name, draw(pfn_pairs())) for name in names]
     cells = {(alt, name): draw(pfn_pairs()) for alt in universe for name in names}
     try:

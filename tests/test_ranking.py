@@ -28,6 +28,8 @@ TOTAL_ORDERS = (
     OrderKind.MEMBERSHIP_THEN_ES,
     OrderKind.SCORE_ACCURACY,
 )
+# Test ids spell out each order's name ("es-then-membership"), not its token.
+ORDER_IDS = [o.name.lower().replace("_", "-") for o in TOTAL_ORDERS]
 CONFIGS = [
     DecisionConfig(aggregator=agg, ranking_order=order)
     for agg in Aggregator
@@ -171,7 +173,7 @@ _INVERSE = {
 }
 
 
-@pytest.mark.parametrize("order", TOTAL_ORDERS, ids=lambda o: o.value)
+@pytest.mark.parametrize("order", TOTAL_ORDERS, ids=ORDER_IDS)
 def test_compare_is_a_strict_weak_order_on_near_ties(order):
     pool = _pool(order) + [PFN(*cell) for cell in _near_tie_triple().values()]
     verdict = {(i, j): compare(a, b, order)
@@ -186,7 +188,7 @@ def test_compare_is_a_strict_weak_order_on_near_ties(order):
             assert verdict[i, k] is expected, (pool[i], pool[j], pool[k])
 
 
-@pytest.mark.parametrize("order", TOTAL_ORDERS, ids=lambda o: o.value)
+@pytest.mark.parametrize("order", TOTAL_ORDERS, ids=ORDER_IDS)
 def test_compare_agrees_with_the_order_key(order):
     pool = _pool(order)
     for x in pool:  # the key's measures round as the scalar functions do
@@ -203,7 +205,7 @@ def test_compare_agrees_with_the_order_key(order):
             assert compare(a, b, order) is (Ordering.LESS if pa < pb else Ordering.GREATER)
 
 
-@pytest.mark.parametrize("order", TOTAL_ORDERS, ids=lambda o: o.value)
+@pytest.mark.parametrize("order", TOTAL_ORDERS, ids=ORDER_IDS)
 def test_ranking_follows_compare_on_near_ties(order):
     pool = _pool(order) + [PFN(*cell) for cell in _near_tie_triple().values()]
     universe = [f"x{i:02d}" for i in range(len(pool))]

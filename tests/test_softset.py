@@ -23,6 +23,7 @@ from phisoft import (
 from phisoft.errors import (
     DuplicateId,
     EmptyIntersection,
+    EmptyUniverse,
     InvalidId,
     InvalidPFN,
     MissingCell,
@@ -55,6 +56,13 @@ class TestBuild:
         s = build(["p1", "p2"], [], {})
         assert s.parameters == ()
         assert s.row("p1") == ()
+
+    def test_empty_universe_is_rejected(self):
+        with pytest.raises(EmptyUniverse, match="universe is empty") as info:
+            build([], [("c1", (0.5, 0.4))], {})
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(EmptyUniverse, match="universe is empty"):
+            constant_set([], ["c1"], 0.5, 0.4)
 
     def test_duplicate_parameter_names(self):
         with pytest.raises(DuplicateId):
@@ -240,10 +248,6 @@ class TestConstantSets:
             for name in ("c1", "c2"):
                 assert s.cell(alt, name) == PFN(0.6, 0.8)
         assert s.parameter("c1").importance == PFN(0.6, 0.8)
-
-    def test_constant_importance_override(self):
-        s = constant_set(["p1"], ["c1"], 0.5, 0.5, importances={"c1": (0.9, 0.1)})
-        assert s.parameter("c1").importance == PFN(0.9, 0.1)
 
     def test_constant_rejects_invalid_pairs(self):
         with pytest.raises(NotPythagorean):
