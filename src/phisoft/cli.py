@@ -93,6 +93,13 @@ def _cmd_decide(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_laws(args) -> int:
     results = laws.run_all(cases=args.cases, seed=args.seed)
     sys.stdout.write(laws.render_report(results, args.seed))
@@ -132,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("laws", help="run the randomized law suites")
-    p.add_argument("--cases", type=int, default=laws.DEFAULT_CASES)
+    p.add_argument("--cases", type=positive_int, default=laws.DEFAULT_CASES)
     p.add_argument("--seed", type=int, default=laws.DEFAULT_SEED)
     p.set_defaults(func=_cmd_laws)
 

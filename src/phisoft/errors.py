@@ -34,7 +34,7 @@ class MissingCell(PhiSoftError, ValueError):
 
 
 class InvalidPFN(PhiSoftError, ValueError):
-    """A cell or importance value is not a valid Pythagorean fuzzy number."""
+    """A cell or importance is not a valid PFN, or a parameter entry is not a pair."""
 
 
 class UniverseMismatch(PhiSoftError, ValueError):

@@ -20,14 +20,8 @@ import numpy as np
 
 from .decision import DecisionReport
 from .errors import InvalidId, MissingCell, ParseError
-from .pfn import PFN, pair_from_text, pfn_to_text
-from .softset import (
-    PFParameter,
-    PhiSoftSet,
-    check_cells,
-    check_ids,
-    coerce_pfn,
-)
+from .pfn import pair_from_text
+from .softset import PhiSoftSet, check_cells, check_ids
 
 IMPORTANCE_ROW_ID = "__f__"
 
@@ -100,9 +94,8 @@ def parse_csv(data: bytes | str) -> PhiSoftSet:
     lines: list[int] = []
     ms: list[list[float]] = []
     ns: list[list[float]] = []
-    importances: list[PFN] | None = None
     for line, fields in rows[1:]:
-        if importances is not None:
+        if len(lines) > len(universe):  # the importance row came before
             raise ParseError(
                 f"row after the {IMPORTANCE_ROW_ID} importance row", line=line
             )
@@ -115,28 +108,21 @@ def parse_csv(data: bytes | str) -> PhiSoftSet:
                 f"expected {len(names)} cells, got {len(values)}", line=line
             )
         row_m, row_n = _parse_row(values, line)
-        if alt == IMPORTANCE_ROW_ID:
-            importances = [
-                coerce_pfn(pair, f"importance of {name!r} at line {line}")
-                for name, pair in zip(names, zip(row_m, row_n))
-            ]
-            continue
-        universe.append(alt)
+        if alt != IMPORTANCE_ROW_ID:
+            universe.append(alt)
         lines.append(line)
         ms.append(row_m)
         ns.append(row_n)
 
     if not universe:
         raise ParseError("no alternatives")
-    if importances is None:
+    if len(lines) == len(universe):  # no importance row
         raise ParseError(f"missing {IMPORTANCE_ROW_ID} importance row")
-    alts = check_ids("alternative id", universe)
-    names = check_ids("parameter name", names)
+    alts, names = check_ids(universe, names)
     m = np.array(ms, dtype=np.float64)
     n = np.array(ns, dtype=np.float64)
-    check_cells(m, n, lambda i, j: f"cell ({alts[i]}, {names[j]}) at line {lines[i]}")
-    parameters = tuple(map(PFParameter, names, importances))
-    return PhiSoftSet(alts, parameters, m, n)
+    check_cells(m, n, alts, names, lambda i, j: f" at line {lines[i]}")
+    return PhiSoftSet(alts, names, m, n)
 
 
 def emit_csv(softset: PhiSoftSet) -> bytes:
@@ -144,11 +130,9 @@ def emit_csv(softset: PhiSoftSet) -> bytes:
     if IMPORTANCE_ROW_ID in softset.universe:
         raise InvalidId(f"alternative id {IMPORTANCE_ROW_ID!r} is reserved in CSV")
     lines = [["id", *softset.parameter_names]]
-    for alt, ms, ns in zip(softset.universe, softset.m.tolist(), softset.n.tolist()):
+    ids = (*softset.universe, IMPORTANCE_ROW_ID)
+    for alt, ms, ns in zip(ids, softset.table_m.tolist(), softset.table_n.tolist()):
         lines.append([alt, *map("%r,%r".__mod__, zip(ms, ns))])
-    lines.append(
-        [IMPORTANCE_ROW_ID, *(pfn_to_text(p.importance) for p in softset.parameters)]
-    )
     sink = StringIO()
     csv.writer(sink, lineterminator="\n").writerows(lines)
     return sink.getvalue().encode("utf-8")
@@ -208,22 +192,21 @@ def parse_json(data: bytes | str) -> PhiSoftSet:
         _expect(a, f"$.universe[{i}]", str, "a string") for i, a in enumerate(universe)
     ]
 
-    parameters = []
+    names, importance_ms, importance_ns = [], [], []
     for i, entry in enumerate(_expect(doc["parameters"], "$.parameters", list, "an array")):
         path = f"$.parameters[{i}]"
         _expect(entry, path, dict, "an object")
         if "name" not in entry or "importance" not in entry:
             raise ParseError("missing key 'name' or 'importance'", path=path)
-        name = _expect(entry["name"], f"{path}.name", str, "a string")
+        names.append(_expect(entry["name"], f"{path}.name", str, "a string"))
         path += ".importance"
         importance = _expect(entry["importance"], path, dict, "an object")
         for key in ("m", "n"):
             if key not in importance:
                 raise ParseError(f"missing key {key!r}", path=path)
-        pair = _number(importance["m"], f"{path}.m"), _number(importance["n"], f"{path}.n")
-        parameters.append(PFParameter(name, coerce_pfn(pair, f"importance of {name!r} ({path})")))
-    alts = check_ids("alternative id", alts)
-    names = check_ids("parameter name", (p.name for p in parameters))
+        importance_ms.append(_number(importance["m"], f"{path}.m"))
+        importance_ns.append(_number(importance["n"], f"{path}.n"))
+    alts, names = check_ids(alts, names)
 
     entries = _expect(doc["cells"], "$.cells", list, "an array")
     rows = {alt: i for i, alt in enumerate(alts)}
@@ -256,22 +239,24 @@ def parse_json(data: bytes | str) -> PhiSoftSet:
         raise MissingCell(f"unexpected cells outside the table: {sorted(outside)[:5]}")
 
     try:
-        m = np.array(ms, dtype=np.float64).reshape(len(alts), width)
-        n = np.array(ns, dtype=np.float64).reshape(m.shape)
+        m = np.array(ms + importance_ms, dtype=np.float64).reshape(len(alts) + 1, width)
+        n = np.array(ns + importance_ns, dtype=np.float64).reshape(m.shape)
     except OverflowError:
         for i, entry in enumerate(entries):
             _cell_key(entry, f"$.cells[{i}]")
         raise
 
-    def where(i: int, j: int) -> str:
+    def locate(i: int, j: int) -> str:
+        if i == len(alts):
+            return f" ($.parameters[{j}].importance)"
         alt, name = alts[i], names[j]
         index = next(
             k for k, e in enumerate(entries) if e["alt"] == alt and e["param"] == name
         )
-        return f"cell ({alt}, {name}) ($.cells[{index}])"
+        return f" ($.cells[{index}])"
 
-    check_cells(m, n, where)
-    return PhiSoftSet(alts, tuple(parameters), m, n)
+    check_cells(m, n, alts, names, locate)
+    return PhiSoftSet(alts, names, m, n)
 
 
 def _set_document(softset: PhiSoftSet) -> dict:

@@ -42,7 +42,6 @@ from .softset import (
     extended_union,
     is_subset,
     null_set,
-    pfn_close,
     restricted_intersection,
     restricted_union,
     whole_set,
@@ -78,6 +77,11 @@ def _sample_pfns(rng: np.random.Generator, count: int) -> list[PFN]:
 def _sample_alphas(rng: np.random.Generator, count: int) -> np.ndarray:
     """Positive exponents, log-uniform over [0.05, 4]."""
     return np.exp(rng.uniform(math.log(0.05), math.log(4.0), count))
+
+
+def pfn_close(a: PFN, b: PFN) -> bool:
+    """Both components within COMPARE_EPS."""
+    return abs(a.m - b.m) <= COMPARE_EPS and abs(a.n - b.n) <= COMPARE_EPS
 
 
 def _diff(a: PFN, b: PFN) -> str:

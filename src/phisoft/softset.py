@@ -3,10 +3,12 @@
 A soft set here couples a universe of alternatives with a family of
 parameters, where each parameter carries a PFN importance degree and each
 (alternative, parameter) cell holds a PFN describing how well the
-alternative satisfies the parameter.  The cells are stored once, as two
-read-only float64 arrays of memberships and non-memberships; `cell`, `row`
-and `cells` build PFN views of them on demand.  Sets are immutable after
-`build`; the combination operators return new sets.
+alternative satisfies the parameter.  A set is one table, stored as two
+read-only float64 arrays of memberships and non-memberships: a row per
+alternative, then the importances as the last row, as in the CSV form.
+Validation, combination, subset and equality treat the whole table alike;
+`cell`, `row`, `cells` and `parameters` build PFN views of it.  Sets are
+immutable after `build`; the combination operators return new sets.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     OutOfRange,
     UniverseMismatch,
 )
-from .pfn import COMPARE_EPS, VALIDITY_EPS, PFN, OrderKind, Ordering, compare, join, meet
+from .pfn import COMPARE_EPS, VALIDITY_EPS, PFN
 
 PFNLike = PFN | tuple
 
@@ -47,18 +49,22 @@ class PFParameter:
 class PhiSoftSet:
     """Universe x PF-weighted parameters with one PFN per table cell.
 
-    `m[i, j]` and `n[i, j]` are the cell of `universe[i]` under
-    `parameters[j]`; both arrays are read-only.  Construct through `build`
-    (or a parser), which validates everything; the dataclass itself only
-    rejects an empty universe (EmptyUniverse).  Use `equals` for the
-    order-insensitive domain equality.
+    `table_m` and `table_n` have shape (A + 1) x P: row i < A holds the
+    cells of `universe[i]`, row A the importances, and column j belongs to
+    `parameter_names[j]`.  Both are read-only; `m` and `n` are views of
+    their cell rows, and `parameters` pairs each name with its importance.
+    Construct through `build` (or a parser), which validates everything;
+    the dataclass itself only rejects an empty universe (EmptyUniverse).
+    Use `equals` for the order-insensitive domain equality.
     """
 
     universe: tuple[str, ...]
-    parameters: tuple[PFParameter, ...]
-    m: np.ndarray = field(repr=False)
-    n: np.ndarray = field(repr=False)
-    parameter_names: tuple[str, ...] = field(init=False, repr=False)
+    parameter_names: tuple[str, ...]
+    table_m: np.ndarray = field(repr=False)
+    table_n: np.ndarray = field(repr=False)
+    parameters: tuple[PFParameter, ...] = field(init=False)
+    m: np.ndarray = field(init=False, repr=False)
+    n: np.ndarray = field(init=False, repr=False)
     _index: tuple[dict[str, int], dict[str, int]] | None = field(
         default=None, init=False, repr=False
     )
@@ -66,14 +72,18 @@ class PhiSoftSet:
     def __post_init__(self):
         if not self.universe:
             raise EmptyUniverse("the universe is empty: a soft set needs an alternative")
-        object.__setattr__(self, "parameter_names", tuple([p.name for p in self.parameters]))
-        self.m.setflags(write=False)
-        self.n.setflags(write=False)
+        self.table_m.setflags(write=False)
+        self.table_n.setflags(write=False)
+        importances = map(PFN, self.table_m[-1].tolist(), self.table_n[-1].tolist())
+        parameters = tuple(map(PFParameter, self.parameter_names, importances))
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "m", self.table_m[:-1])
+        object.__setattr__(self, "n", self.table_n[:-1])
 
     def __reduce__(self):
         # Copies and unpickled sets go through __post_init__, which freezes
         # their arrays.
-        return PhiSoftSet, (self.universe, self.parameters, self.m, self.n)
+        return PhiSoftSet, (self.universe, self.parameter_names, self.table_m, self.table_n)
 
     def _lookup(self) -> tuple[dict[str, int], dict[str, int]]:
         """(alternative -> row, parameter name -> column), built on first use."""
@@ -138,44 +148,46 @@ class _CellView(Mapping):
 _forbidden = re.compile("[,\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]").search
 
 
-def check_ids(kind: str, values: Iterable[str]) -> tuple[str, ...]:
-    """Validate ids of one kind ("alternative id", "parameter name")."""
-    values = tuple(values)
-    for value in values:
-        if not isinstance(value, str) or not value:
-            raise InvalidId(f"{kind} must be a non-empty string, got {value!r}")
-        if value != value.strip():
-            raise InvalidId(f"{kind} {value!r} starts or ends with whitespace")
-    if _forbidden("".join(values)):
-        bad = next(v for v in values if _forbidden(v))
-        raise InvalidId(f"{kind} {bad!r} has a comma, line break or surrogate")
-    if len(set(values)) != len(values):
-        dupes = sorted(v for v, count in Counter(values).items() if count > 1)
-        raise DuplicateId(f"duplicate {kind}s: {', '.join(dupes)}")
-    return values
+def check_ids(universe: Iterable[str], names: Iterable[str]) -> tuple[tuple[str, ...], ...]:
+    """Validate the alternative ids, then the parameter names; both as tuples."""
+    checked = []
+    for kind, values in (("alternative id", universe), ("parameter name", names)):
+        values = tuple(values)
+        for value in values:
+            if not isinstance(value, str) or not value:
+                raise InvalidId(f"{kind} must be a non-empty string, got {value!r}")
+            if value != value.strip():
+                raise InvalidId(f"{kind} {value!r} starts or ends with whitespace")
+        if _forbidden("".join(values)):
+            bad = next(v for v in values if _forbidden(v))
+            raise InvalidId(f"{kind} {bad!r} has a comma, line break or surrogate")
+        if len(set(values)) != len(values):
+            dupes = sorted(v for v, count in Counter(values).items() if count > 1)
+            raise DuplicateId(f"duplicate {kind}s: {', '.join(dupes)}")
+        checked.append(values)
+    return tuple(checked)
 
 
-def coerce_pfn(value: PFNLike, what: str) -> PFN:
-    if isinstance(value, PFN):
-        return value
+def _reject(value, alts, names, i: int, j: int, where: str = "") -> None:
+    """Raise InvalidPFN if `value`, entry (i, j) of a table, is not a valid
+    PFN or (m, n) pair, naming a cell or, on the last row, an importance."""
+    what = f"importance of {names[j]!r}" if i == len(alts) else f"cell ({alts[i]}, {names[j]})"
     try:
         m, n = value
-        return PFN(m, n)
+        PFN(m, n)
     except (OutOfRange, NotPythagorean, TypeError, ValueError) as exc:
-        raise InvalidPFN(f"{what}: {exc}") from None
+        raise InvalidPFN(f"{what}{where}: {exc}") from None
 
 
-def check_cells(m: np.ndarray, n: np.ndarray, where) -> None:
-    """Raise InvalidPFN for the first cell, row-major, that is not a valid PFN.
-
-    The test is PFN's own, over whole arrays; `where(i, j)` names cell (i, j)
-    in the message.
-    """
+def check_cells(m: np.ndarray, n: np.ndarray, alts, names, locate=None) -> None:
+    """Raise InvalidPFN for the first entry, row-major, of an (A + 1) x P table
+    that is not a valid PFN.  The test is PFN's own, over whole arrays;
+    `locate(i, j)`, if given, says where entry (i, j) sits in the input."""
     ok = (m >= 0.0) & (m <= 1.0) & (n >= 0.0) & (n <= 1.0)
     ok &= m * m + n * n <= 1.0 + VALIDITY_EPS
     if not ok.all():
         i, j = (int(k) for k in np.argwhere(~ok)[0])
-        coerce_pfn((m.item(i, j), n.item(i, j)), where(i, j))
+        _reject((m.item(i, j), n.item(i, j)), alts, names, i, j, locate(i, j) if locate else "")
 
 
 def build(
@@ -189,62 +201,56 @@ def build(
     pairs, and cell values may be PFNs or (m, n) pairs.  The cell mapping
     must be total: exactly one entry per (alternative, parameter name).
 
-    Raises InvalidId, DuplicateId, MissingCell, or InvalidPFN (with the
-    offending coordinates in the message).
+    Raises InvalidId, DuplicateId, MissingCell, or InvalidPFN, naming the
+    offending cell, importance or parameter entry.
     """
-    alts = check_ids("alternative id", universe)
-    params = []
-    for entry in parameters:
+    names, importances = [], []
+    for index, entry in enumerate(parameters):
         if isinstance(entry, PFParameter):
-            if isinstance(entry.importance, PFN):
-                params.append(entry)
-                continue
-            name, importance = entry.name, entry.importance
-        else:
+            entry = entry.name, entry.importance
+        try:
             name, importance = entry
-        params.append(PFParameter(name, coerce_pfn(importance, f"importance of {name!r}")))
-    params = tuple(params)
-    names = check_ids("parameter name", (p.name for p in params))
+        except (TypeError, ValueError):
+            raise InvalidPFN(f"parameter entry {index} is not a (name, importance) pair") from None
+        names.append(name)
+        importances.append(importance)
+    alts, names = check_ids(universe, names)
+
+    try:
+        values = [cells[key] for key in product(alts, names)]
+    except KeyError:
+        alt, name = next(key for key in product(alts, names) if key not in cells)
+        raise MissingCell(f"missing cell ({alt}, {name})") from None
+    if len(cells) != len(values):
+        extras = sorted(set(cells) - set(product(alts, names)))
+        raise MissingCell(f"unexpected cells outside the table: {extras[:5]}")
+    values += importances
 
     ms, ns = [], []
     all_pfns = True  # PFNs are valid by construction
-    for alt in alts:
-        for name in names:
-            try:
-                value = cells[alt, name]
-            except KeyError:
-                raise MissingCell(f"missing cell ({alt}, {name})") from None
+    try:
+        for value in values:
             if isinstance(value, PFN):
                 ms.append(value.m)
                 ns.append(value.n)
                 continue
             all_pfns = False
-            try:
-                m, n = value
-            except (TypeError, ValueError):
-                coerce_pfn(value, f"cell ({alt}, {name})")  # raises, naming the cell
+            m, n = value
             ms.append(m)
             ns.append(n)
-    if len(cells) != len(ms):
-        extras = sorted(set(cells) - set(product(alts, names)))
-        raise MissingCell(f"unexpected cells outside the table: {extras[:5]}")
-
-    def where(i: int, j: int) -> str:
-        return f"cell ({alts[i]}, {names[j]})"
-
-    if not all_pfns:
-        try:
+        if not all_pfns:
             ms, ns = list(map(float, ms)), list(map(float, ns))
-        except (TypeError, ValueError):
-            for i, j in product(range(len(alts)), range(len(names))):
-                coerce_pfn(cells[alts[i], names[j]], where(i, j))
-            raise
-    shape = (len(alts), len(names))
+    except (TypeError, ValueError):  # an entry is not a pair of numbers
+        for k, value in enumerate(values):
+            if not isinstance(value, PFN):
+                _reject(value, alts, names, *divmod(k, len(names)))
+        raise
+    shape = (len(alts) + 1, len(names))
     m = np.array(ms, dtype=np.float64).reshape(shape)
     n = np.array(ns, dtype=np.float64).reshape(shape)
     if not all_pfns:
-        check_cells(m, n, where)
-    return PhiSoftSet(alts, params, m, n)
+        check_cells(m, n, alts, names)
+    return PhiSoftSet(alts, names, m, n)
 
 
 def _same_universe(a: PhiSoftSet, b: PhiSoftSet) -> bool:
@@ -252,11 +258,12 @@ def _same_universe(a: PhiSoftSet, b: PhiSoftSet) -> bool:
 
 
 def _rows(universe: tuple[str, ...], b: PhiSoftSet) -> list[int] | None:
-    """b's row of each alternative, or None if b lists them in this order."""
+    """b's table rows in this universe's order, importance row last; None if
+    b lists the alternatives in this order."""
     if universe == b.universe:
         return None
     rows = b._lookup()[0]
-    return [rows[alt] for alt in universe]
+    return [rows[alt] for alt in universe] + [len(universe)]
 
 
 def _columns(names: tuple[str, ...], b: PhiSoftSet) -> list[int] | None:
@@ -277,41 +284,29 @@ def _gather(values: np.ndarray, rows, cols) -> np.ndarray:
     return values
 
 
-def _aligned(a: PhiSoftSet, b: PhiSoftSet):
-    """b's parameters, m and n in a's order (the universes must match).
+def _aligned(a: PhiSoftSet, b: PhiSoftSet) -> tuple[np.ndarray, np.ndarray]:
+    """b's table in a's row and column order (the universes must match).
 
     Raises KeyError for a parameter name of a that b lacks.
     """
     rows, cols = _rows(a.universe, b), _columns(a.parameter_names, b)
-    others = b.parameters if cols is None else [b.parameters[k] for k in cols]
-    return others, _gather(b.m, rows, cols), _gather(b.n, rows, cols)
-
-
-_LATTICE_LEQ = (Ordering.LESS, Ordering.EQUAL)
+    return _gather(b.table_m, rows, cols), _gather(b.table_n, rows, cols)
 
 
 def is_subset(a: PhiSoftSet, b: PhiSoftSet) -> bool:
     """Whether `a` is a soft subset of `b`.
 
     Requires equal universes (as sets), every parameter of `a` present in
-    `b` with a lattice-dominating importance, and every cell of `a`
-    lattice-dominated by the matching cell of `b`.
+    `b`, and every importance and cell of `a` lattice-dominated by the
+    matching one of `b`.
     """
     if not _same_universe(a, b):
         return False
     try:
-        others, bm, bn = _aligned(a, b)
+        bm, bn = _aligned(a, b)
     except KeyError:
         return False
-    for p, q in zip(a.parameters, others):
-        if compare(p.importance, q.importance, OrderKind.LATTICE) not in _LATTICE_LEQ:
-            return False
-    return not np.count_nonzero((a.m > bm) | (a.n < bn))
-
-
-def pfn_close(a: PFN, b: PFN) -> bool:
-    """Both components within COMPARE_EPS."""
-    return abs(a.m - b.m) <= COMPARE_EPS and abs(a.n - b.n) <= COMPARE_EPS
+    return not np.count_nonzero((a.table_m > bm) | (a.table_n < bn))
 
 
 def equals(a: PhiSoftSet, b: PhiSoftSet) -> bool:
@@ -322,13 +317,11 @@ def equals(a: PhiSoftSet, b: PhiSoftSet) -> bool:
     """
     if not _same_universe(a, b) or set(a.parameter_names) != set(b.parameter_names):
         return False
-    others, bm, bn = _aligned(a, b)
-    if not all(pfn_close(p.importance, q.importance) for p, q in zip(a.parameters, others)):
-        return False
-    if a.m.tobytes() == bm.tobytes() and a.n.tobytes() == bn.tobytes():
-        return True  # bit-identical cells; cheaper to see than the tolerance
+    bm, bn = _aligned(a, b)
+    if a.table_m.tobytes() == bm.tobytes() and a.table_n.tobytes() == bn.tobytes():
+        return True  # bit-identical tables; cheaper to see than the tolerance
     return not np.count_nonzero(
-        (np.abs(a.m - bm) > COMPARE_EPS) | (np.abs(a.n - bn) > COMPARE_EPS)
+        (np.abs(a.table_m - bm) > COMPARE_EPS) | (np.abs(a.table_n - bn) > COMPARE_EPS)
     )
 
 
@@ -338,50 +331,30 @@ def _combine(a: PhiSoftSet, b: PhiSoftSet, union: bool, extended: bool) -> PhiSo
             f"universes differ: {sorted(a.universe)} vs {sorted(b.universe)}"
         )
     # Join and meet of valid PFNs are valid, so the result needs no checks.
-    if union:
-        up, down, merge = np.maximum, np.minimum, join
-    else:
-        up, down, merge = np.minimum, np.maximum, meet
+    up, down = (np.maximum, np.minimum) if union else (np.minimum, np.maximum)
     if not extended and not set(a.parameter_names) & set(b.parameter_names):
         raise EmptyIntersection("the parameter sets share no name")
     rows = _rows(a.universe, b)
     if a.parameter_names == b.parameter_names:
-        params = tuple(
-            PFParameter(p.name, merge(p.importance, q.importance))
-            for p, q in zip(a.parameters, b.parameters)
-        )
-        m = up(a.m, _gather(b.m, rows, None))
-        n = down(a.n, _gather(b.n, rows, None))
-        return PhiSoftSet(a.universe, params, m, n)
+        m = up(a.table_m, _gather(b.table_m, rows, None))
+        n = down(a.table_n, _gather(b.table_n, rows, None))
+        return PhiSoftSet(a.universe, a.parameter_names, m, n)
 
-    b_cols = b._lookup()[1]
-    params: list[PFParameter] = []
-    keep: list[int] = []  # a's columns in the result
-    mine: list[int] = []  # result columns of the shared parameters...
-    theirs: list[int] = []  # ...and their columns in b
-    for j, p in enumerate(a.parameters):
-        k = b_cols.get(p.name)
-        if k is not None:
-            mine.append(len(keep))
-            theirs.append(k)
-            p = PFParameter(p.name, merge(p.importance, b.parameters[k].importance))
-        elif not extended:
-            continue
-        keep.append(j)
-        params.append(p)
-
-    m, n = a.m[:, keep], a.n[:, keep]
-    if theirs:
-        m[:, mine] = up(m[:, mine], _gather(b.m, rows, theirs))
-        n[:, mine] = down(n[:, mine], _gather(b.n, rows, theirs))
-    if extended:
-        a_cols = a._lookup()[1]
-        extra = [k for k, q in enumerate(b.parameters) if q.name not in a_cols]
-        if extra:
-            params += [b.parameters[k] for k in extra]
-            m = np.hstack([m, _gather(b.m, rows, extra)])
-            n = np.hstack([n, _gather(b.n, rows, extra)])
-    return PhiSoftSet(a.universe, tuple(params), m, n)
+    a_cols, b_cols = a._lookup()[1], b._lookup()[1]
+    names = [name for name in a.parameter_names if extended or name in b_cols]
+    shared = [j for j, name in enumerate(names) if name in b_cols]  # result columns...
+    theirs = [b_cols[names[j]] for j in shared]  # ...and their columns in b
+    keep = [a_cols[name] for name in names]
+    m, n = a.table_m[:, keep], a.table_n[:, keep]
+    if shared:
+        m[:, shared] = up(m[:, shared], _gather(b.table_m, rows, theirs))
+        n[:, shared] = down(n[:, shared], _gather(b.table_n, rows, theirs))
+    extra = [k for k, name in enumerate(b.parameter_names) if name not in a_cols]
+    if extended and extra:
+        names += [b.parameter_names[k] for k in extra]
+        m = np.hstack([m, _gather(b.table_m, rows, extra)])
+        n = np.hstack([n, _gather(b.table_n, rows, extra)])
+    return PhiSoftSet(a.universe, tuple(names), m, n)
 
 
 def extended_union(a: PhiSoftSet, b: PhiSoftSet) -> PhiSoftSet:
@@ -411,11 +384,9 @@ def restricted_intersection(a: PhiSoftSet, b: PhiSoftSet) -> PhiSoftSet:
 def constant_set(universe: Iterable[str], names: Iterable[str], a: float, b: float) -> PhiSoftSet:
     """A set whose every cell and every importance equals (a, b)."""
     value = PFN(a, b)
-    alts = check_ids("alternative id", universe)
-    names = check_ids("parameter name", names)
-    params = tuple(PFParameter(nm, value) for nm in names)
-    shape = (len(alts), len(names))
-    return PhiSoftSet(alts, params, np.full(shape, value.m), np.full(shape, value.n))
+    alts, names = check_ids(universe, names)
+    shape = (len(alts) + 1, len(names))
+    return PhiSoftSet(alts, names, np.full(shape, value.m), np.full(shape, value.n))
 
 
 def null_set(universe: Iterable[str], names: Iterable[str]) -> PhiSoftSet:

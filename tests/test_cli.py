@@ -140,6 +140,13 @@ def test_laws_smoke(capsys):
     assert "pass" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_laws_needs_at_least_one_case(cases, capsys):
+    assert main(["laws", "--cases", cases]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be at least 1" in err
+
+
 def test_laws_reproducible(capsys):
     main(["laws", "--cases", "120", "--seed", "99"])
     first = capsys.readouterr().out

@@ -66,6 +66,11 @@ class TestParseCsv:
         with pytest.raises(InvalidPFN, match=r"\(p3, s3\)"):
             parse_csv(text)
 
+    def test_invalid_importance_carries_line(self):
+        text = TABLE1_CSV.replace('__f__,"0.5,0.4"', '__f__,"0.5,1.4"')
+        with pytest.raises(InvalidPFN, match=r"importance of 's1' at line 6"):
+            parse_csv(text)
+
     def test_malformed_cell_carries_line(self):
         text = 'id,s1\np1,"0.5;0.4"\n__f__,"0.5,0.4"\n'
         with pytest.raises(ParseError, match="line 2"):
@@ -167,6 +172,16 @@ class TestJson:
     def test_missing_top_level_key(self):
         with pytest.raises(ParseError, match="universe"):
             parse_json(json.dumps({"parameters": [], "cells": []}))
+
+    def test_invalid_importance_carries_path(self):
+        doc = {
+            "universe": ["p1"],
+            "parameters": [{"name": "s1", "importance": {"m": 0.9, "n": 0.9}}],
+            "cells": [{"alt": "p1", "param": "s1", "m": 0.5, "n": 0.4}],
+        }
+        pattern = r"importance of 's1' \(\$\.parameters\[0\]\.importance\)"
+        with pytest.raises(InvalidPFN, match=pattern):
+            parse_json(json.dumps(doc))
 
     def test_invalid_cell_value(self):
         doc = {

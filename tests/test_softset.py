@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from phisoft import (
+    COMPARE_EPS,
     PFN,
     PFParameter,
     build,
@@ -89,6 +90,27 @@ class TestBuild:
                 ("p9", "s1"): (0.5, 0.5),
             })
 
+    def test_invalid_importance_names_the_parameter(self):
+        with pytest.raises(InvalidPFN, match="importance of 's1'"):
+            build(["p1"], [("s1", (0.9, 0.9))], {("p1", "s1"): (0.5, 0.5)})
+        with pytest.raises(InvalidPFN, match="importance of 's1'"):
+            build(["p1"], [("s1", "xy")], {("p1", "s1"): (0.5, 0.5)})
+
+    @pytest.mark.parametrize(
+        "entries, index",
+        [
+            ([("s1",)], 0),
+            ([5], 0),
+            ([("s1", (0.5, 0.4), 3)], 0),
+            ([("s1", (0.5, 0.4)), ("s2",)], 1),
+        ],
+        ids=["one-tuple", "not-iterable", "three-tuple", "second-entry"],
+    )
+    def test_malformed_parameter_entry_is_a_package_error(self, entries, index):
+        with pytest.raises(InvalidPFN, match=f"parameter entry {index} ") as info:
+            build(["p1"], entries, {})
+        assert isinstance(info.value, ValueError)
+
     def test_malformed_ids_rejected(self):
         with pytest.raises(ValueError):
             build(["p,1"], [("s1", (0.5, 0.4))], {("p,1", "s1"): (0.5, 0.5)})
@@ -134,6 +156,25 @@ class TestSubsetAndEquality:
         cells = dict(TABLE1_CELLS)
         cells[("p4", "s6")] = (0.8, 0.3)
         assert not equals(table1, build(UNIVERSE, TABLE1_PARAMS, cells))
+
+
+    @staticmethod
+    def _importance_nudged(delta):
+        """table1 with the membership of s5's importance raised by `delta`."""
+        params = dict(TABLE1_PARAMS)
+        m, n = params["s5"]
+        params["s5"] = (m + delta, n)
+        return build(UNIVERSE, list(params.items()), TABLE1_CELLS)
+
+    @pytest.mark.parametrize("delta", [5e-13, 5e-12, 0.1])
+    def test_one_importance_difference_is_seen(self, table1, delta):
+        nudged = self._importance_nudged(delta)
+        assert nudged.m.tobytes() == table1.m.tobytes()  # the cells are the same
+        close = delta <= COMPARE_EPS
+        assert equals(table1, nudged) is close and equals(nudged, table1) is close
+        # the lattice order is exact: any raised membership makes a strict superset
+        assert is_subset(table1, nudged)
+        assert not is_subset(nudged, table1)
 
 
 class TestCombinations:
@@ -311,6 +352,30 @@ class TestDataModel:
             pickle.loads(pickle.dumps(table1)),
         ):
             assert not s.m.flags.writeable and not s.n.flags.writeable
+            assert not s.table_m.flags.writeable and not s.table_n.flags.writeable
+
+    def test_last_table_row_holds_the_importances(self, table1):
+        assert table1.table_m.shape == table1.table_n.shape == (5, 4)
+        expected = [importance for _, importance in TABLE1_PARAMS]
+        assert list(zip(table1.table_m[-1].tolist(), table1.table_n[-1].tolist())) == expected
+        assert [(p.importance.m, p.importance.n) for p in table1.parameters] == expected
+        assert [p.name for p in table1.parameters] == list(table1.parameter_names)
+
+    def test_cell_arrays_are_views_of_the_table(self, table1):
+        assert np.shares_memory(table1.m, table1.table_m)
+        assert np.shares_memory(table1.n, table1.table_n)
+        assert np.array_equal(table1.m, table1.table_m[:-1])
+        assert np.array_equal(table1.n, table1.table_n[:-1])
+        for values in (table1.table_m, table1.table_n):
+            with pytest.raises(ValueError, match="read-only"):
+                values[-1, 0] = 0.1
+
+    def test_copies_keep_the_importances(self, table1):
+        for s in (copy.copy(table1), copy.deepcopy(table1), pickle.loads(pickle.dumps(table1))):
+            assert s.parameters == table1.parameters
+            assert s.table_m.tobytes() == table1.table_m.tobytes()
+            assert s.table_n.tobytes() == table1.table_n.tobytes()
+            assert np.shares_memory(s.m, s.table_m)
 
     def test_no_pfn_is_stored_per_cell(self, table1):
         table1.cell("p1", "s1")  # fill the lazy name -> index lookup
