@@ -19,6 +19,7 @@ from phisoft import (
     Aggregator,
     CombineRule,
     DecisionConfig,
+    OrderKind,
     build,
     decide,
     emit_csv,
@@ -176,3 +177,173 @@ def test_cli_decide_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
         "ac6fb09c31de2edf379fc04c83eb08995f0714ba1cf4e968bfb1dbbfd48dbebc"
     )
+
+
+def _quarter_disk(rng, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded (m, n) arrays of the given shape, uniform on the quarter disk."""
+    pairs = np.empty((0, 2))
+    while len(pairs) < rows * cols:
+        batch = rng.random((2 * rows * cols, 2))
+        pairs = np.vstack([pairs, batch[(batch**2).sum(axis=1) <= 1.0]])
+    pairs = pairs[: rows * cols].reshape(rows, cols, 2)
+    return pairs[..., 0], pairs[..., 1]
+
+
+def _edge_pair():
+    """A seeded 200 x 12 pair (8 shared parameters) with every aggregation edge.
+
+    Both experts agree on the planted entries, so each survives every rule:
+    a (0, 1) importance (weight 0) on a shared and an unshared parameter, an
+    all-(0, 1) row, saturated (1, 0) and n = 0 cells in weighted and in
+    zero-weight columns, and an all-m = 0 row.
+    """
+    rng = np.random.default_rng(6)
+    universe = [f"p{i}" for i in range(200)]
+    shared = [f"s{j}" for j in range(8)]
+
+    def table(own: str):
+        names = shared + [f"{own}{j}" for j in range(4)]
+        names = [names[k] for k in rng.permutation(len(names))]
+        col = {name: j for j, name in enumerate(names)}
+        m, n = _quarter_disk(rng, len(universe) + 1, len(names))
+        planted = [
+            (-1, "s0", (0.0, 1.0)), (-1, f"{own}0", (0.0, 1.0)),
+            (0, slice(None), (0.0, 1.0)), (1, slice(None), (0.0, 0.5)),
+            *((i, "s1", (1.0, 0.0)) for i in range(2, 7)),
+            (7, "s0", (1.0, 0.0)), (8, f"{own}0", (1.0, 0.0)),
+            *((i, "s2", (0.6, 0.0)) for i in range(9, 13)),
+            (13, "s0", (0.3, 0.0)), (14, f"{own}1", (1.0, 0.0)),
+            (15, "s3", (1.0, 0.0) if own == "a" else (0.2, 0.7)),
+            (16, f"{own}2", (0.8, 0.0)),
+        ]
+        for i, name, (mv, nv) in planted:
+            j = name if isinstance(name, slice) else col[name]
+            m[i, j], n[i, j] = mv, nv
+        params = [(name, (m[-1, j], n[-1, j])) for j, name in enumerate(names)]
+        cells = {
+            (alt, name): (m[i, j], n[i, j])
+            for i, alt in enumerate(universe)
+            for j, name in enumerate(names)
+        }
+        return build(universe, params, cells)
+
+    return table("a"), table("b")
+
+
+#: sha256 of `emit_json(decide(a, b, config))`, per input and (rule, aggregator, order).
+REPORT_SHA256 = {
+    "paper": {
+        "eunion geometric sfaf":
+            "9ad54b29aaa0ea330b0bc4a92409bf71e094f0698be0ec12db3f0f674f8f33a7",
+        "eunion geometric m":
+            "378e8b5958dd6e76a6a8c05b09088bb6e2a6c33d5c879d057b139fa1f31bcb50",
+        "eunion geometric es":
+            "f30afb90e68709624074c9a2ac76eed152e41294f85679e17290f68396213912",
+        "eunion linear sfaf":
+            "95341245e331cdf7e83c9f4a6860c604552b6ecc7ad7083a7a71fd9856cff588",
+        "eunion linear m":
+            "8538f7e834b343d3a593662d44e8b43b9aaec6c44313ff52f8e939dcf9311c0a",
+        "eunion linear es":
+            "b7067467e1a99e7781094d80d81830a7991b4b951c424942498f5bb062a5cae0",
+        "eintersect geometric sfaf":
+            "f218ece04a402fd3d43cb87c975dff4659e5a0bd13e516ba0e288899ae70e381",
+        "eintersect geometric m":
+            "3c019780994e947da7aff97692e036d3c577afb42ba72312ee2f77d0d7edd0e3",
+        "eintersect geometric es":
+            "ac6fb09c31de2edf379fc04c83eb08995f0714ba1cf4e968bfb1dbbfd48dbebc",
+        "eintersect linear sfaf":
+            "b1a9c9456fdb57429c9128a90fe489ea31b58c807b0683c1b5100b0d0418b590",
+        "eintersect linear m":
+            "b9182d44ddef7cdb4c42208593b0070f654f7ab949fe6f0ad5b004ea7d189f23",
+        "eintersect linear es":
+            "8e3a0261a445b3f6ffd2534bb13804bd7786fe02f131835883b82637f742fec6",
+        "runion geometric sfaf":
+            "ad6adea22c17692e0cad8d31fa8a8dea176a67abcc0dee97c2ca66f59ebb326b",
+        "runion geometric m":
+            "e04c3668d756963a11621ad44d73c5312770c05cc3fa23a80ad5aa31f93da4c6",
+        "runion geometric es":
+            "a3be21ba4afe09c70fb23c496882e61e1408bffb34929e84da26fe4b4a7b032e",
+        "runion linear sfaf":
+            "e942637625b502b74fb4f6b9c922c78332e306e72e997bec6e7c9a72a22df818",
+        "runion linear m":
+            "cb4299b08f992ac8b649f76fc0d0a3705fbd4e7daa6b2ba5e4f14d69353d7dd1",
+        "runion linear es":
+            "928c29378841d7a3dd4fc9cff6cbb30380c9b65285d5657a9b74f942cbb8b225",
+        "rintersect geometric sfaf":
+            "fa9bc53dac913ba058799b83e881f8dde10b060199e4aa04b0f0967eca30dd64",
+        "rintersect geometric m":
+            "b144cb67a3bc8f53791b9ef1eab0e1539faa74bfe726d91506bb852b436f824c",
+        "rintersect geometric es":
+            "d80aa68fcfa9461db7343952fda758bed4d952beba1e45573a0fe4e543149335",
+        "rintersect linear sfaf":
+            "a91148a799cadaf2eab1546f3ef15a5f16221b19f56853179124b608078bb037",
+        "rintersect linear m":
+            "ec6c77363b2c8e3002f79faadfa407874b4a8622af664d731e7740216c92c8b4",
+        "rintersect linear es":
+            "851627f553d28d4924970d0745d0ba5c785b1e7e7e2dcbb075cca895c19698c8",
+    },
+    "edge": {
+        "eunion geometric sfaf":
+            "52938c910e20d6ed060e0e4df13b6c93a1afb47762fb6fda94b90c2e68c23e54",
+        "eunion geometric m":
+            "ecdec437c42bbcd49d9fb94372366d699a65ba2b866a14a2a537444d380eb018",
+        "eunion geometric es":
+            "741c2136fb8fe96d30785d0aa1f727814b04304b36ac2e3b251b0eb467c7523c",
+        "eunion linear sfaf":
+            "23a9c2553891f641005bb7e496a5cf48012c50170d438b85f2135c941fe6f646",
+        "eunion linear m":
+            "8a8a3d87987ddb6f31d84b2462b8a4757afa2108a8babc1efeac351591b4e01c",
+        "eunion linear es":
+            "24b28de60755ab47951fe8c9c9c82d4fbe8e9225bd092ed13434f31cca914805",
+        "eintersect geometric sfaf":
+            "9953729e71879ca0146fc6b5b895e7b69905b037574adbb29e3ac0265ceb6eef",
+        "eintersect geometric m":
+            "9a4b945482b7f15a51afe0f9dee58a970c95f78eb720519d36560d1187992d28",
+        "eintersect geometric es":
+            "8c4e25c6fc27a04140ec95f0626ab6a90b0d12a220c1adf699fe8d7a8913c4e4",
+        "eintersect linear sfaf":
+            "21ed78a9fed9583d2c06f9173e26ec874b0a02874bc55c1bed4dd79b59679a75",
+        "eintersect linear m":
+            "51ee4061b4c4aeb40ecbc38fc84992510db6e505b5b7c1d1f5f24e20bd843dc0",
+        "eintersect linear es":
+            "03833769aabde1cf7e5e84094e18cea0f982ad153fa0789951906fc4883e70fb",
+        "runion geometric sfaf":
+            "e9091ed81ccf274ae9dbd54ca1ce74a6155571e1965474a98821ba607c3b97cc",
+        "runion geometric m":
+            "554d7420c136e23846d992b22e0f659eb108916a43aa70696cf739c837c0bcf0",
+        "runion geometric es":
+            "5fdee672244a5c1eb0ae4a6ebab1827ae5fd2b58cc7cc1a80490554abad27c7c",
+        "runion linear sfaf":
+            "3506a0fddee24f97fe30b61d261dafaee36fceb1b3c06f5cfa04b919c747eeeb",
+        "runion linear m":
+            "084200db1cf34cb51974422a2f0f150020b338f530cee710b35377e944c1a2d2",
+        "runion linear es":
+            "39c15d518525de7b6d4e0c6b77def91a7c9bba98db2cc0749119e70eb3533886",
+        "rintersect geometric sfaf":
+            "6fd109e71f29b12a25702641620822e2b0933dd548bba14ae198ffa16d04f9a5",
+        "rintersect geometric m":
+            "9957fe17060028de959c4b71b4f33c942e8b36b86aa95a3538e39174d2480763",
+        "rintersect geometric es":
+            "79391d3cb9e639670dfbe777f61897215143c8924909afa9778e787189601534",
+        "rintersect linear sfaf":
+            "535e48da04836b7dc838c36b80732c740ddc05503fb84509812afbe1e8bba881",
+        "rintersect linear m":
+            "38bd5f94513e3753ea4efdb10d3512806d103fb42c605fce33bb86a51c44e0aa",
+        "rintersect linear es":
+            "ea57e28ce52ad67ce5af1873421dc4bf32f82ee11365e4b1956bda846cba9eff",
+    },
+}
+
+
+@pytest.mark.parametrize("name, pair", [("paper", _paper_pair), ("edge", _edge_pair)])
+def test_every_report_configuration_is_pinned(name, pair):
+    """All 4 rules x 2 aggregators x 3 orders write the pinned report bytes."""
+    a, b = pair()
+    got = {}
+    for rule in CombineRule:
+        for aggregator in Aggregator:
+            for order in (o for o in OrderKind if o is not OrderKind.LATTICE):
+                report = decide(a, b, DecisionConfig(rule, aggregator, order))
+                key = f"{rule.value} {aggregator.value} {order.value}"
+                got[key] = hashlib.sha256(emit_json(report)).hexdigest()
+    assert got == REPORT_SHA256[name]
