@@ -111,5 +111,6 @@ __all__ = [
     "run_law_suites",
     "scalar_mul",
     "score",
+    "weights_from_importances",
     "whole_set",
 ]

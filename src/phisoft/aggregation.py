@@ -2,8 +2,8 @@
 
 Two weighted-averaging operators are provided: a componentwise arithmetic
 mean and the geometric form that folds the Pythagorean sum over scalar
-multiples.  Parameter weights are normalized expectation scores of the
-importance degrees.
+multiples.  Both run on whole tables in `pfwa_table`.  Parameter weights
+are normalized expectation scores of the importance degrees.
 """
 
 from __future__ import annotations
@@ -11,14 +11,22 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from enum import Enum
 from functools import reduce
 
+import numpy as np
+
 from .errors import DegenerateWeights, LengthMismatch
-from .pfn import PFN, add_p, expectation_score, scalar_mul
+from .pfn import PFN, add_p, scalar_mul
 from .softset import PFParameter
 
 #: Allowed deviation of a weight vector's sum from 1.
 WEIGHT_SUM_EPS = 1e-9
+
+
+class Aggregator(Enum):
+    GEOMETRIC = "geometric"
+    LINEAR = "linear"
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,19 +57,24 @@ class WeightVector:
         return self.values[i]
 
 
-def weights_from_importances(parameters: Sequence[PFParameter]) -> WeightVector:
-    """Normalize the expectation scores of the importances into weights.
+def importance_weights(m: np.ndarray, n: np.ndarray) -> WeightVector:
+    """Normalize the expectation scores of the importances (m, n) into weights.
 
-    Raises DegenerateWeights when every expectation score is 0 (which
-    includes the empty parameter list): there is nothing to normalize.
+    Raises DegenerateWeights when every score is 0, or there are none.
     """
-    scores = [expectation_score(p.importance) for p in parameters]
-    total = math.fsum(scores)
+    scores = (m * m - n * n + 1.0) / 2.0  # rounds as `expectation_score` does
+    total = math.fsum(scores.tolist())
     if total <= 0.0:
-        raise DegenerateWeights(
-            "all parameter importances have expectation score 0"
-        )
-    return WeightVector(tuple(s / total for s in scores))
+        raise DegenerateWeights("all parameter importances have expectation score 0")
+    return WeightVector((scores / total).tolist())
+
+
+def weights_from_importances(parameters: Sequence[PFParameter]) -> WeightVector:
+    """`importance_weights` of the parameters' importance degrees."""
+    importances = [p.importance for p in parameters]  # one pass: any iterable
+    m = np.array([x.m for x in importances], dtype=np.float64)
+    n = np.array([x.n for x in importances], dtype=np.float64)
+    return importance_weights(m, n)
 
 
 def _check_lengths(values: Sequence[PFN], weights: WeightVector) -> None:
@@ -73,48 +86,73 @@ def _check_lengths(values: Sequence[PFN], weights: WeightVector) -> None:
         raise LengthMismatch("need at least one value")
 
 
-def linear_kernel(ms: Sequence[float], ns: Sequence[float], ws: Sequence[float]):
-    """(m, n) of the componentwise weighted mean; see `pfwa_linear`."""
-    return (
-        math.fsum(w * m for m, w in zip(ms, ws)),
-        math.fsum(w * n for n, w in zip(ns, ws)),
-    )
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """The `math` function `fn` of each entry of `x`."""
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
-def geometric_kernel(ms: Sequence[float], ns: Sequence[float], ws: Sequence[float]):
-    """(m, n) of the geometric weighted average; see `pfwa_geometric`."""
-    m_saturated = False
-    m_logs = []
-    n_zero = False
-    n_logs = []
-    for m, n, w in zip(ms, ns, ws):
-        if w == 0.0:
-            continue
-        s = min(m * m, 1.0)
-        if s == 1.0:
-            m_saturated = True
-        else:
-            m_logs.append(w * math.log1p(-s))
-        if n == 0.0:
-            n_zero = True
-        else:
-            n_logs.append(w * math.log(n))
+def _row_sums(terms: np.ndarray, fn=None) -> np.ndarray:
+    """The `math.fsum` of each row of `terms`, or `fn` of each such sum."""
+    sums = map(math.fsum, terms.tolist())
+    return np.fromiter(sums if fn is None else map(fn, sums), np.float64, len(terms))
 
-    # fsum makes both components exact sums of their terms, so permuting
-    # the (value, weight) pairs cannot change the result.
-    return (
-        1.0 if m_saturated else math.sqrt(-math.expm1(math.fsum(m_logs))),
-        0.0 if n_zero else math.exp(math.fsum(n_logs)),
-    )
+
+def _exp_log_sums(exp, log, x: np.ndarray, pole: float, w: np.ndarray) -> np.ndarray:
+    """exp(sum_j w_j * log(x_ij)) for each row i, with `math`'s exp and log.
+    No entry lies below the pole; a pole's term is its limit, -inf."""
+    try:
+        terms = _libm(log, x)
+    except ValueError:  # math's log(pole) is a domain error
+        at_pole = x == pole
+        terms = _libm(log, np.where(at_pole, 1.0, x))
+        terms[at_pole] = -math.inf
+    terms *= w
+    return _row_sums(terms, exp)
+
+
+def pfwa_table(
+    m: np.ndarray, n: np.ndarray, weights: WeightVector, aggregator: Aggregator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The A aggregated memberships and non-memberships of an A x P table of
+    PFNs (m, n): row i is `pfwa_geometric` (or `pfwa_linear`) of row i.
+
+    Each comes from the `math.fsum` of one term per weighted parameter,
+    w * log1p(-m**2) and w * log(n), or w * m and w * n, so the column order
+    cannot change a bit.  Basic operations run in numpy, which rounds them
+    as Python does; log1p, log, expm1 and exp run through `math` (libm),
+    because numpy's own differ in the last bit on a few percent of inputs,
+    and differently on different CPUs.
+    """
+    w = np.array(weights.values)
+    if 0.0 in weights.values:
+        keep = w != 0.0
+        m, n, w = m[:, keep], n[:, keep], w[keep]
+    if aggregator is Aggregator.LINEAR:
+        # The weights may sum to 1 + ulp, which lifts a row of ones above 1.
+        return np.minimum(_row_sums(m * w), 1.0), np.minimum(_row_sums(n * w), 1.0)
+    # A saturated entry (m = 1) makes its row's membership sqrt(-expm1(-inf))
+    # = 1, and an n = 0 entry its row's non-membership exp(-inf) = 0.
+    out_m = _exp_log_sums(math.expm1, math.log1p, -(m * m), -1.0, w)
+    np.negative(out_m, out=out_m)
+    return np.sqrt(out_m, out=out_m), _exp_log_sums(math.exp, math.log, n, 0.0, w)
+
+
+def _pfwa(values: Sequence[PFN], weights: WeightVector, aggregator: Aggregator) -> PFN:
+    """`pfwa_table` of the values as a one-row table."""
+    _check_lengths(values, weights)
+    m = np.array([[v.m for v in values]])
+    n = np.array([[v.n for v in values]])
+    out_m, out_n = pfwa_table(m, n, weights, aggregator)
+    return PFN(out_m.item(), out_n.item())
 
 
 def pfwa_linear(values: Sequence[PFN], weights: WeightVector) -> PFN:
     """Componentwise weighted arithmetic mean of the values.
 
-    Convexity of the unit quarter disk keeps the result valid.
+    Convexity of the unit quarter disk keeps the result valid; each
+    component is capped at 1 against rounding in the weights.
     """
-    _check_lengths(values, weights)
-    return PFN(*linear_kernel([v.m for v in values], [v.n for v in values], weights.values))
+    return _pfwa(values, weights, Aggregator.LINEAR)
 
 
 def pfwa_geometric(values: Sequence[PFN], weights: WeightVector) -> PFN:
@@ -125,8 +163,7 @@ def pfwa_geometric(values: Sequence[PFN], weights: WeightVector) -> PFN:
     entries contribute nothing; 0**w = 0 for w > 0, so any zero
     non-membership zeroes the product.
     """
-    _check_lengths(values, weights)
-    return PFN(*geometric_kernel([v.m for v in values], [v.n for v in values], weights.values))
+    return _pfwa(values, weights, Aggregator.GEOMETRIC)
 
 
 def pfwa_fold(values: Sequence[PFN], weights: WeightVector) -> PFN:
@@ -137,4 +174,3 @@ def pfwa_fold(values: Sequence[PFN], weights: WeightVector) -> PFN:
     """
     _check_lengths(values, weights)
     return reduce(add_p, (scalar_mul(w, v) for v, w in zip(values, weights)))
-

@@ -44,7 +44,7 @@ def _cmd_validate(args) -> int:
     softset = _load(args.file)
     print(
         f"ok: {len(softset.universe)} alternatives, "
-        f"{len(softset.parameters)} parameters"
+        f"{len(softset.parameter_names)} parameters"
     )
     return 0
 

@@ -10,14 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .aggregation import (
-    WeightVector,
-    geometric_kernel,
-    linear_kernel,
-    weights_from_importances,
-)
+from .aggregation import Aggregator, WeightVector, importance_weights, pfwa_table
 from .errors import InvalidConfig
-from .pfn import PFN, OrderKind, accuracy, expectation_score, order_key, score
+from .pfn import PFN, OrderKind, order_key
 from .softset import (
     PhiSoftSet,
     extended_intersection,
@@ -32,11 +27,6 @@ class CombineRule(Enum):
     EXTENDED_INTERSECTION = "eintersect"
     RESTRICTED_UNION = "runion"
     RESTRICTED_INTERSECTION = "rintersect"
-
-
-class Aggregator(Enum):
-    GEOMETRIC = "geometric"
-    LINEAR = "linear"
 
 
 _COMBINE = {
@@ -116,17 +106,22 @@ def decide_single(
 ) -> DecisionReport:
     """Aggregate and rank one already-combined soft set (skips step 2)."""
     config = config or DecisionConfig()
-    weights = weights_from_importances(softset.parameters)
-    kernel = geometric_kernel if config.aggregator is Aggregator.GEOMETRIC else linear_kernel
-    measured, keys = [], []
-    for alt, ms, ns in zip(softset.universe, softset.m.tolist(), softset.n.tolist()):
-        apfdv = PFN(*kernel(ms, ns, weights.values))
-        measured.append((alt, apfdv, expectation_score(apfdv), score(apfdv), accuracy(apfdv)))
-        # descending key, then larger membership, then alternative id ascending
-        primary, tiebreak = order_key(config.ranking_order, apfdv.m, apfdv.n)
-        keys.append((-primary, -tiebreak, -apfdv.m, alt))
+    weights = importance_weights(softset.table_m[-1], softset.table_n[-1])
+    m, n = pfwa_table(softset.m, softset.n, weights, config.aggregator)
+    # The measures and sort keys are columns; each rounds exactly as
+    # `score`, `accuracy`, `expectation_score` and `order_key` do per PFN.
+    mm, nn = m * m, n * n
+    sf = mm - nn
+    es = (sf + 1.0) / 2.0
+    af = mm + nn
+    primary, tiebreak = order_key(config.ranking_order, m, n)
+    # descending key, then larger membership, then alternative id ascending
+    keys = list(zip((-primary).tolist(), (-tiebreak).tolist(), (-m).tolist(), softset.universe))
     ranks = [0] * len(keys)
     for rank, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__), 1):
         ranks[i] = rank
-    rows = tuple(AlternativeMeasures(*row, rank) for row, rank in zip(measured, ranks))
+    apfdvs = map(PFN, m.tolist(), n.tolist())
+    rows = tuple(map(
+        AlternativeMeasures, softset.universe, apfdvs, es.tolist(), sf.tolist(), af.tolist(), ranks
+    ))
     return DecisionReport(rows=rows, weights=weights, combined=softset, config=config)

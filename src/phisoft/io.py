@@ -277,7 +277,7 @@ def _cells_json(softset: PhiSoftSet) -> str:
     ``{"alt", "param", "m", "n"}`` objects under a top-level key."""
     if not softset.m.size:
         return "[]"
-    width = len(softset.parameters)
+    width = len(softset.parameter_names)
     row = ",\n".join(
         '    {\n      "alt": %s,\n      "param": '
         + json.dumps(name).replace("%", "%%")

@@ -167,7 +167,8 @@ def order_key(order: OrderKind, m: float, n: float) -> tuple[float, float]:
     or score) snapped down to the COMPARE_EPS grid, then its tiebreak (m, ES or
     accuracy).  Unlike a tolerance, a key is transitive.  The measures are
     written out, rounding exactly as `score`, `accuracy` and `expectation_score`
-    do, because `compare` is the law suites' hot path.
+    do, because `compare` is the law suites' hot path.  Given numpy arrays of
+    m and n, it returns both key columns with the same bits per entry.
     """
     if order is _M_THEN_ES:
         return m / COMPARE_EPS // 1.0, (m * m - n * n + 1.0) / 2.0

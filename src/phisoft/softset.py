@@ -45,7 +45,7 @@ class PFParameter:
     importance: PFN
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class PhiSoftSet:
     """Universe x PF-weighted parameters with one PFN per table cell.
 
@@ -60,23 +60,18 @@ class PhiSoftSet:
 
     universe: tuple[str, ...]
     parameter_names: tuple[str, ...]
-    table_m: np.ndarray = field(repr=False)
-    table_n: np.ndarray = field(repr=False)
-    parameters: tuple[PFParameter, ...] = field(init=False)
-    m: np.ndarray = field(init=False, repr=False)
-    n: np.ndarray = field(init=False, repr=False)
-    _index: tuple[dict[str, int], dict[str, int]] | None = field(
-        default=None, init=False, repr=False
-    )
+    table_m: np.ndarray
+    table_n: np.ndarray
+    m: np.ndarray = field(init=False)
+    n: np.ndarray = field(init=False)
+    _parameters: tuple[PFParameter, ...] | None = field(default=None, init=False)
+    _index: tuple[dict[str, int], dict[str, int]] | None = field(default=None, init=False)
 
     def __post_init__(self):
         if not self.universe:
             raise EmptyUniverse("the universe is empty: a soft set needs an alternative")
         self.table_m.setflags(write=False)
         self.table_n.setflags(write=False)
-        importances = map(PFN, self.table_m[-1].tolist(), self.table_n[-1].tolist())
-        parameters = tuple(map(PFParameter, self.parameter_names, importances))
-        object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "m", self.table_m[:-1])
         object.__setattr__(self, "n", self.table_n[:-1])
 
@@ -84,6 +79,19 @@ class PhiSoftSet:
         # Copies and unpickled sets go through __post_init__, which freezes
         # their arrays.
         return PhiSoftSet, (self.universe, self.parameter_names, self.table_m, self.table_n)
+
+    def __repr__(self) -> str:
+        fields = f"universe={self.universe!r}, parameter_names={self.parameter_names!r}"
+        return f"PhiSoftSet({fields}, parameters={self.parameters!r})"
+
+    @property
+    def parameters(self) -> tuple[PFParameter, ...]:
+        """Each parameter name with its importance, built on first use."""
+        if self._parameters is None:
+            importances = map(PFN, self.table_m[-1].tolist(), self.table_n[-1].tolist())
+            parameters = tuple(map(PFParameter, self.parameter_names, importances))
+            object.__setattr__(self, "_parameters", parameters)
+        return self._parameters
 
     def _lookup(self) -> tuple[dict[str, int], dict[str, int]]:
         """(alternative -> row, parameter name -> column), built on first use."""
@@ -352,8 +360,8 @@ def _combine(a: PhiSoftSet, b: PhiSoftSet, union: bool, extended: bool) -> PhiSo
     extra = [k for k, name in enumerate(b.parameter_names) if name not in a_cols]
     if extended and extra:
         names += [b.parameter_names[k] for k in extra]
-        m = np.hstack([m, _gather(b.table_m, rows, extra)])
-        n = np.hstack([n, _gather(b.table_n, rows, extra)])
+        m = np.concatenate((m, _gather(b.table_m, rows, extra)), axis=1)
+        n = np.concatenate((n, _gather(b.table_n, rows, extra)), axis=1)
     return PhiSoftSet(a.universe, tuple(names), m, n)
 
 

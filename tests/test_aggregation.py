@@ -7,6 +7,8 @@ import pytest
 
 from phisoft import (
     PFN,
+    Aggregator,
+    DecisionConfig,
     PFParameter,
     WeightVector,
     build,
@@ -17,6 +19,7 @@ from phisoft import (
     pfwa_linear,
     weights_from_importances,
 )
+from phisoft.aggregation import pfwa_table
 from phisoft.errors import DegenerateWeights, LengthMismatch
 
 PAPER_WEIGHTS = {
@@ -53,6 +56,7 @@ class TestWeights:
         w = weights_from_importances(ps)
         for value, (name, _) in zip(w, [(p.name, None) for p in ps]):
             assert value == pytest.approx(PAPER_WEIGHTS[name], abs=1e-6)
+        assert weights_from_importances(iter(ps)) == w
 
     def test_single_parameter(self):
         w = weights_from_importances(params(("s1", (0.4, 0.2))))
@@ -222,3 +226,135 @@ class TestApfdv:
         got = decide_single(s).row("p1").apfdv
         assert got.m == pytest.approx(0.3, abs=1e-12)
         assert got.n == pytest.approx(0.6, abs=1e-12)
+
+
+def loop_linear(ms, ns, ws):
+    """(m, n) of the componentwise weighted mean of one row, term by term."""
+    return (
+        min(math.fsum(w * m for m, w in zip(ms, ws)), 1.0),
+        min(math.fsum(w * n for n, w in zip(ns, ws)), 1.0),
+    )
+
+
+def loop_geometric(ms, ns, ws):
+    """(m, n) of the geometric weighted average of one row, term by term."""
+    m_saturated = n_zero = False
+    m_logs, n_logs = [], []
+    for m, n, w in zip(ms, ns, ws):
+        if w == 0.0:
+            continue
+        if m * m == 1.0:
+            m_saturated = True
+        else:
+            m_logs.append(w * math.log1p(-(m * m)))
+        if n == 0.0:
+            n_zero = True
+        else:
+            n_logs.append(w * math.log(n))
+    return (
+        1.0 if m_saturated else math.sqrt(-math.expm1(math.fsum(m_logs))),
+        0.0 if n_zero else math.exp(math.fsum(n_logs)),
+    )
+
+
+LOOPS = {Aggregator.GEOMETRIC: loop_geometric, Aggregator.LINEAR: loop_linear}
+
+
+def edge_table(rng, rows, cols):
+    """A random table with saturated, n = 0, m = 0 and (0, 1) entries, a
+    zero-weight first column (if there are two), and weights from a random
+    importance row, normalized the way `decide` does it."""
+    m = np.empty((rows + 1, cols))
+    n = np.empty((rows + 1, cols))
+    for k, v in enumerate(sample_pfns(rng, m.size)):
+        m.flat[k], n.flat[k] = v.m, v.n
+    for value, share in (((1.0, 0.0), 0.03), ((0.6, 0.0), 0.03), ((0.0, 0.8), 0.03),
+                         ((0.0, 1.0), 0.02)):
+        hit = rng.random(m.shape) < share
+        m[hit], n[hit] = value
+    m[0], n[0] = 0.0, 1.0
+    m[-1, 0], n[-1, 0] = (0.0, 1.0) if cols > 1 else (0.5, 0.5)
+    scores = [(a * a - b * b + 1.0) / 2.0 for a, b in zip(m[-1].tolist(), n[-1].tolist())]
+    total = math.fsum(scores)
+    return m[:-1], n[:-1], WeightVector(tuple(x / total for x in scores))
+
+
+class TestTableKernel:
+    """`pfwa_table` is the one implementation behind both operators."""
+
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    def test_matches_the_loop_bit_for_bit(self, aggregator):
+        rng = np.random.default_rng(31)
+        for shape in ((1, 1), (1, 6), (3, 3), (40, 7), (300, 12)):
+            m, n, w = edge_table(rng, *shape)
+            got_m, got_n = pfwa_table(m, n, w, aggregator)
+            expected = [LOOPS[aggregator](ms, ns, w.values)
+                        for ms, ns in zip(m.tolist(), n.tolist())]
+            assert list(zip(got_m.tolist(), got_n.tolist())) == expected
+
+    def test_closed_forms_at_the_edges(self):
+        w = WeightVector((0.25, 0.25, 0.5, 0.0))
+        m = np.array([[1.0, 0.3, 0.5, 0.2], [0.3, 0.4, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        n = np.array([[0.0, 0.5, 0.6, 0.9], [0.5, 0.6, 0.7, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        got_m, got_n = pfwa_table(m, n, w, Aggregator.GEOMETRIC)
+        # A saturated cell gives membership 1, an n = 0 cell non-membership 0.
+        assert got_m[0] == 1.0 and got_n[0] == 0.0
+        # Entries of a zero-weight column, saturated or not, change nothing.
+        assert got_m[1] == math.sqrt(-math.expm1(math.fsum(
+            [0.25 * math.log1p(-0.3 * 0.3), 0.25 * math.log1p(-0.4 * 0.4),
+             0.5 * math.log1p(-0.5 * 0.5)])))
+        assert got_n[1] == math.exp(math.fsum(
+            [0.25 * math.log(0.5), 0.25 * math.log(0.6), 0.5 * math.log(0.7)]))
+        # An all-(0, 1) row aggregates to (-0.0, 1.0): sqrt(-expm1(0.0)) = sqrt(-0.0).
+        assert math.copysign(1.0, got_m[2]) == -1.0 and got_m[2] == 0.0 and got_n[2] == 1.0
+
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    def test_rows_are_independent(self, aggregator):
+        m, n, w = edge_table(np.random.default_rng(32), 60, 9)
+        whole = pfwa_table(m, n, w, aggregator)
+        for lo, hi in ((0, 1), (5, 6), (10, 37), (59, 60)):
+            part = pfwa_table(m[lo:hi], n[lo:hi], w, aggregator)
+            assert part[0].tobytes() == whole[0][lo:hi].tobytes()
+            assert part[1].tobytes() == whole[1][lo:hi].tobytes()
+
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    def test_column_permutations_change_nothing(self, aggregator):
+        rng = np.random.default_rng(33)
+        m, n, w = edge_table(rng, 80, 8)
+        whole = pfwa_table(m, n, w, aggregator)
+        for _ in range(10):
+            perm = rng.permutation(8)
+            shuffled = WeightVector(tuple(w.values[j] for j in perm))
+            got = pfwa_table(m[:, perm], n[:, perm], shuffled, aggregator)
+            assert got[0].tobytes() == whole[0].tobytes()
+            assert got[1].tobytes() == whole[1].tobytes()
+
+    def test_every_row_matches_the_fold(self):
+        """`pfwa_geometric` is the one-row case; here the rows come at once."""
+        rng = np.random.default_rng(34)
+        for rows, cols in ((1, 1), (1, 7), (200, 6)):
+            values = sample_pfns(rng, rows * cols)
+            m = np.array([v.m for v in values]).reshape(rows, cols)
+            n = np.array([v.n for v in values]).reshape(rows, cols)
+            raw = rng.uniform(1e-3, 1.0, cols)
+            w = WeightVector(tuple(float(x) for x in raw / raw.sum()))
+            got_m, got_n = pfwa_table(m, n, w, Aggregator.GEOMETRIC)
+            for i in range(rows):
+                folded = pfwa_fold(values[i * cols:(i + 1) * cols], w)
+                assert got_m[i] == pytest.approx(folded.m, abs=1e-9)
+                assert got_n[i] == pytest.approx(folded.n, abs=1e-9)
+
+    def test_linear_rows_of_ones_stay_valid(self):
+        """Weights that sum to 1 + ulp must not lift a (0, 1) row above n = 1."""
+        importances = [("c0", (0.5, 0.1)), ("c1", (0.3, 0.3)), ("c2", (0.1, 0.7))]
+        w = weights_from_importances(params(*importances))
+        assert math.fsum(w.values) > 1.0
+        names = [name for name, _ in importances]
+        s = build(
+            ["p1", "p2"],
+            importances,
+            {**{("p1", c): (0.0, 1.0) for c in names}, **{("p2", c): (1.0, 0.0) for c in names}},
+        )
+        report = decide_single(s, DecisionConfig(aggregator=Aggregator.LINEAR))
+        assert report.row("p1").apfdv == PFN(0.0, 1.0)
+        assert report.row("p2").apfdv == PFN(1.0, 0.0)

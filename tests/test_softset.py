@@ -12,6 +12,7 @@ from phisoft import (
     PFParameter,
     build,
     constant_set,
+    decide_single,
     equals,
     extended_intersection,
     extended_union,
@@ -376,6 +377,21 @@ class TestDataModel:
             assert s.table_m.tobytes() == table1.table_m.tobytes()
             assert s.table_n.tobytes() == table1.table_n.tobytes()
             assert np.shares_memory(s.m, s.table_m)
+
+    def test_parameters_are_built_on_first_use(self, table1, table2):
+        combined = extended_intersection(table1, table2)
+        decide_single(combined)  # weighs the importance row, not PFParameters
+        assert combined._parameters is None
+        assert combined.parameters is combined.parameters
+        assert combined.parameter("s2") == PFParameter("s2", PFN(0.1, 0.6))
+        assert repr(table1) == (
+            "PhiSoftSet(universe=('p1', 'p2', 'p3', 'p4'), "
+            "parameter_names=('s1', 's3', 's5', 's6'), "
+            "parameters=(PFParameter(name='s1', importance=PFN(m=0.5, n=0.4)), "
+            "PFParameter(name='s3', importance=PFN(m=0.7, n=0.2)), "
+            "PFParameter(name='s5', importance=PFN(m=0.3, n=0.6)), "
+            "PFParameter(name='s6', importance=PFN(m=0.6, n=0.3))))"
+        )
 
     def test_no_pfn_is_stored_per_cell(self, table1):
         table1.cell("p1", "s1")  # fill the lazy name -> index lookup
