@@ -58,10 +58,8 @@ class WeightVector:
 
 
 def importance_weights(m: np.ndarray, n: np.ndarray) -> WeightVector:
-    """Normalize the expectation scores of the importances (m, n) into weights.
-
-    Raises DegenerateWeights when every score is 0, or there are none.
-    """
+    """The importances' (m, n) expectation scores, normalized; raises
+    DegenerateWeights when every score is 0, or there are none."""
     scores = (m * m - n * n + 1.0) / 2.0  # rounds as `expectation_score` does
     total = math.fsum(scores.tolist())
     if total <= 0.0:
@@ -71,17 +69,13 @@ def importance_weights(m: np.ndarray, n: np.ndarray) -> WeightVector:
 
 def weights_from_importances(parameters: Sequence[PFParameter]) -> WeightVector:
     """`importance_weights` of the parameters' importance degrees."""
-    importances = [p.importance for p in parameters]  # one pass: any iterable
-    m = np.array([x.m for x in importances], dtype=np.float64)
-    n = np.array([x.n for x in importances], dtype=np.float64)
-    return importance_weights(m, n)
+    mn = np.array([(p.importance.m, p.importance.n) for p in parameters], dtype=np.float64)
+    return importance_weights(*mn.reshape(-1, 2).T)
 
 
 def _check_lengths(values: Sequence[PFN], weights: WeightVector) -> None:
     if len(values) != len(weights):
-        raise LengthMismatch(
-            f"{len(values)} values vs {len(weights)} weights"
-        )
+        raise LengthMismatch(f"{len(values)} values vs {len(weights)} weights")
     if not values:
         raise LengthMismatch("need at least one value")
 
@@ -91,38 +85,28 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
-def _row_sums(terms: np.ndarray, fn=None) -> np.ndarray:
-    """The `math.fsum` of each row of `terms`, or `fn` of each such sum."""
-    sums = map(math.fsum, terms.tolist())
-    return np.fromiter(sums if fn is None else map(fn, sums), np.float64, len(terms))
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """The `math.fsum` of each row of `terms`."""
+    return np.fromiter(map(math.fsum, terms.tolist()), np.float64, len(terms))
 
 
 def _exp_log_sums(exp, log, x: np.ndarray, pole: float, w: np.ndarray) -> np.ndarray:
-    """exp(sum_j w_j * log(x_ij)) for each row i, with `math`'s exp and log.
-    No entry lies below the pole; a pole's term is its limit, -inf."""
-    try:
-        terms = _libm(log, x)
-    except ValueError:  # math's log(pole) is a domain error
-        at_pole = x == pole
-        terms = _libm(log, np.where(at_pole, 1.0, x))
-        terms[at_pole] = -math.inf
-    terms *= w
-    return _row_sums(terms, exp)
+    """exp(sum_j w_j * log(x_ij)) per row i, with `math`'s exp and log.  At the
+    pole (no x lies below it) log raises, so its term is the limit, -inf."""
+    at_pole = x == pole
+    terms = _libm(log, np.where(at_pole, 1.0, x))
+    terms[at_pole] = -math.inf
+    return np.fromiter(map(exp, map(math.fsum, (terms * w).tolist())), np.float64, len(x))
 
 
 def pfwa_table(
     m: np.ndarray, n: np.ndarray, weights: WeightVector, aggregator: Aggregator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The A aggregated memberships and non-memberships of an A x P table of
-    PFNs (m, n): row i is `pfwa_geometric` (or `pfwa_linear`) of row i.
-
-    Each comes from the `math.fsum` of one term per weighted parameter,
-    w * log1p(-m**2) and w * log(n), or w * m and w * n, so the column order
-    cannot change a bit.  Basic operations run in numpy, which rounds them
-    as Python does; log1p, log, expm1 and exp run through `math` (libm),
-    because numpy's own differ in the last bit on a few percent of inputs,
-    and differently on different CPUs.
-    """
+    """The aggregated (m, n) columns of the A x P table of PFNs (m, n): row i
+    is `pfwa_geometric` (or `pfwa_linear`) of row i.  Each is the `math.fsum`
+    of one term per weighted parameter, so the column order cannot change a
+    bit.  log1p, log, expm1 and exp are `math`'s, because numpy's differ in the
+    last bit on a few percent of inputs, and per CPU; the rest runs in numpy."""
     w = np.array(weights.values)
     if 0.0 in weights.values:
         keep = w != 0.0
@@ -130,20 +114,16 @@ def pfwa_table(
     if aggregator is Aggregator.LINEAR:
         # The weights may sum to 1 + ulp, which lifts a row of ones above 1.
         return np.minimum(_row_sums(m * w), 1.0), np.minimum(_row_sums(n * w), 1.0)
-    # A saturated entry (m = 1) makes its row's membership sqrt(-expm1(-inf))
-    # = 1, and an n = 0 entry its row's non-membership exp(-inf) = 0.
     out_m = _exp_log_sums(math.expm1, math.log1p, -(m * m), -1.0, w)
-    np.negative(out_m, out=out_m)
-    return np.sqrt(out_m, out=out_m), _exp_log_sums(math.exp, math.log, n, 0.0, w)
+    return np.sqrt(-out_m), _exp_log_sums(math.exp, math.log, n, 0.0, w)
 
 
 def _pfwa(values: Sequence[PFN], weights: WeightVector, aggregator: Aggregator) -> PFN:
     """`pfwa_table` of the values as a one-row table."""
     _check_lengths(values, weights)
-    m = np.array([[v.m for v in values]])
-    n = np.array([[v.n for v in values]])
-    out_m, out_n = pfwa_table(m, n, weights, aggregator)
-    return PFN(out_m.item(), out_n.item())
+    m, n = np.array([[v.m for v in values]]), np.array([[v.n for v in values]])
+    m, n = pfwa_table(m, n, weights, aggregator)
+    return PFN(m.item(), n.item())
 
 
 def pfwa_linear(values: Sequence[PFN], weights: WeightVector) -> PFN:

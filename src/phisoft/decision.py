@@ -111,9 +111,8 @@ def decide_single(
     # The measures and sort keys are columns; each rounds exactly as
     # `score`, `accuracy`, `expectation_score` and `order_key` do per PFN.
     mm, nn = m * m, n * n
-    sf = mm - nn
+    sf, af = mm - nn, mm + nn
     es = (sf + 1.0) / 2.0
-    af = mm + nn
     primary, tiebreak = order_key(config.ranking_order, m, n)
     # descending key, then larger membership, then alternative id ascending
     keys = list(zip((-primary).tolist(), (-tiebreak).tolist(), (-m).tolist(), softset.universe))

@@ -360,8 +360,8 @@ def _combine(a: PhiSoftSet, b: PhiSoftSet, union: bool, extended: bool) -> PhiSo
     extra = [k for k, name in enumerate(b.parameter_names) if name not in a_cols]
     if extended and extra:
         names += [b.parameter_names[k] for k in extra]
-        m = np.concatenate((m, _gather(b.table_m, rows, extra)), axis=1)
-        n = np.concatenate((n, _gather(b.table_n, rows, extra)), axis=1)
+        m = np.hstack([m, _gather(b.table_m, rows, extra)])
+        n = np.hstack([n, _gather(b.table_n, rows, extra)])
     return PhiSoftSet(a.universe, tuple(names), m, n)
 
 
