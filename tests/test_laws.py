@@ -1,6 +1,12 @@
 """Smoke coverage of the randomized law machinery (full runs live in the
 acceptance suite and behind the `laws` subcommand)."""
 
+import copy
+import hashlib
+
+import numpy as np
+import pytest
+
 from phisoft import laws
 
 
@@ -19,8 +25,6 @@ def test_same_seed_same_report():
 
 
 def test_different_seeds_draw_different_cases():
-    import numpy as np
-
     one = laws._sample_pfns(np.random.default_rng(1), 10)
     two = laws._sample_pfns(np.random.default_rng(2), 10)
     assert one != two
@@ -30,3 +34,35 @@ def test_render_report_shows_counterexamples():
     result = laws.LawResult("demo-law", 3, "a=1 b=2")
     text = laws.render_report([result], seed=0)
     assert "FAIL" in text and "a=1 b=2" in text
+
+
+# The report bytes and the generator's draw count are pinned, so a faster
+# suite must check the same cases with the same draws and say the same thing.
+REPORT_SHA256 = {
+    (17, 10_000): "3862c396cf8f52802b62c97d3fe926243e71d76ae5d98a9be71cae5bb6d2d63f",
+    (5, 200): "467d10a469829afd749fbeb2bf6774750794daa21b9fa74566f18fdd093150e4",
+    (123, 250): "e7b48dacee0af7ad61cb59e1d6dd8d7248a175506d197278fd1ef68ca58b59cc",
+}
+
+# rng.random() from a copy of the generator after each suite (seed 11, 300 cases).
+NEXT_DRAW_AFTER_SUITE = (
+    0.2871234026761018, 0.053281726805650576, 0.7181105917240156, 0.30979924766415423,
+    0.7774870732265046, 0.6864544984020294, 0.005006749516033748, 0.9120356275009477,
+    0.6409325542536529, 0.7919276563207154, 0.23969093962523336, 0.3981830107810702,
+    0.08583066799218741, 0.5025923762632546,
+)
+
+
+@pytest.mark.parametrize(("seed", "cases"), sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(seed, cases):
+    text = laws.render_report(laws.run_all(cases, seed), seed)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[seed, cases]
+
+
+def test_each_suite_draws_what_it_drew():
+    rng = np.random.default_rng(11)
+    after = []
+    for law in laws.ALL_LAWS:
+        law(rng, 300)
+        after.append(copy.deepcopy(rng).random())
+    assert tuple(after) == NEXT_DRAW_AFTER_SUITE
