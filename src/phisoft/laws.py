@@ -10,41 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
+from . import softset
 from .aggregation import WeightVector, pfwa_fold, pfwa_geometric
 from .pfn import (
-    COMPARE_EPS,
-    VALIDITY_EPS,
-    PFN,
-    OrderKind,
-    Ordering,
-    accuracy,
-    add_p,
-    compare,
-    complement,
-    expectation_score,
-    join,
-    meet,
-    mul_p,
-    order_key,
-    power,
-    scalar_mul,
-    score,
+    COMPARE_EPS, VALIDITY_EPS, PFN, OrderKind, Ordering, accuracy, add_p, compare, complement,
+    expectation_score, join, meet, mul_p, order_key, power, scalar_mul, score,
 )
 from .softset import (
-    PFParameter,
-    PhiSoftSet,
-    build,
-    equals,
-    extended_intersection,
-    extended_union,
-    is_subset,
-    null_set,
-    restricted_intersection,
-    restricted_union,
-    whole_set,
+    PhiSoftSet, build, equals, extended_intersection, extended_union, is_subset, null_set,
+    restricted_intersection, restricted_union, whole_set,
 )
 
 DEFAULT_CASES = 10_000
@@ -64,14 +42,20 @@ class LawResult:
         return self.counterexample is None
 
 
+def _sample_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Uniform samples from the valid quarter disk (rejection from the
+    square), as a count x 2 array of (m, n) rows."""
+    kept, have = [np.empty((0, 2))], 0
+    while have < count:
+        batch = rng.random((count - have + 16, 2))
+        kept.append(batch[batch[:, 0] ** 2 + batch[:, 1] ** 2 <= 1.0])
+        have += len(kept[-1])
+    return np.concatenate(kept)[:count]
+
+
 def _sample_pfns(rng: np.random.Generator, count: int) -> list[PFN]:
-    """Uniform samples from the valid quarter disk (rejection from the square)."""
-    out: list[PFN] = []
-    while len(out) < count:
-        batch = rng.random((count - len(out) + 16, 2))
-        keep = batch[:, 0] ** 2 + batch[:, 1] ** 2 <= 1.0
-        out.extend(PFN(float(m), float(n)) for m, n in batch[keep])
-    return out[:count]
+    """`_sample_points` as PFNs."""
+    return list(map(PFN, *_sample_points(rng, count).T.tolist()))
 
 
 def _sample_alphas(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -116,82 +100,46 @@ def closure_of_pfn_operations(rng: np.random.Generator, cases: int) -> LawResult
     return LawResult(name, cases)
 
 
-def addition_and_multiplication_commute(rng, cases: int) -> LawResult:
-    name = "addition-and-multiplication-commute"
-    pairs = _sample_pfns(rng, 2 * cases)
-    for i in range(cases):
-        a, b = pairs[2 * i], pairs[2 * i + 1]
-        left, right = add_p(a, b), add_p(b, a)
-        if not pfn_close(left, right):
-            return LawResult(name, cases, f"add_p a={a!r} b={b!r} {_diff(left, right)}")
-        left, right = mul_p(a, b), mul_p(b, a)
-        if not pfn_close(left, right):
-            return LawResult(name, cases, f"mul_p a={a!r} b={b!r} {_diff(left, right)}")
-    return LawResult(name, cases)
+def _identity_suite(name: str, labels: tuple[str, ...], *sides):
+    """A suite that checks each side pair on every case (`pfn_close`).
+
+    A case is a PFN per label "a" or "b" and a scalar per other label,
+    drawn in that order; a side pair is (counterexample prefix, function of
+    the case that returns the two sides).
+    """
+    points = sum(label in ("a", "b") for label in labels)
+    alphas = len(labels) - points
+
+    def law(rng, cases: int) -> LawResult:
+        pfns = _sample_pfns(rng, points * cases)
+        scalars = _sample_alphas(rng, alphas * cases).tolist() if alphas else []
+        for i in range(cases):
+            case = (*pfns[points * i : points * (i + 1)], *scalars[alphas * i : alphas * (i + 1)])
+            for prefix, sides_of in sides:
+                left, right = sides_of(*case)
+                if not pfn_close(left, right):
+                    shown = " ".join(f"{k}={v!r}" for k, v in zip(labels, case))
+                    return LawResult(name, cases, f"{prefix}{shown} {_diff(left, right)}")
+        return LawResult(name, cases)
+
+    law.__name__ = law.__qualname__ = name.replace("-", "_")
+    return law
 
 
-def scalar_distributes_over_addition(rng, cases: int) -> LawResult:
-    name = "scalar-distributes-over-addition"
-    pairs = _sample_pfns(rng, 2 * cases)
-    alphas = _sample_alphas(rng, cases)
-    for i in range(cases):
-        a, b = pairs[2 * i], pairs[2 * i + 1]
-        alpha = float(alphas[i])
-        left = scalar_mul(alpha, add_p(a, b))
-        right = add_p(scalar_mul(alpha, a), scalar_mul(alpha, b))
-        if not pfn_close(left, right):
-            return LawResult(
-                name, cases, f"a={a!r} b={b!r} alpha={alpha!r} {_diff(left, right)}"
-            )
-    return LawResult(name, cases)
-
-
-def scalar_multiples_add(rng, cases: int) -> LawResult:
-    name = "scalar-multiples-add"
-    points = _sample_pfns(rng, cases)
-    alphas = _sample_alphas(rng, 2 * cases)
-    for i in range(cases):
-        a = points[i]
-        a1, a2 = float(alphas[2 * i]), float(alphas[2 * i + 1])
-        left = add_p(scalar_mul(a1, a), scalar_mul(a2, a))
-        right = scalar_mul(a1 + a2, a)
-        if not pfn_close(left, right):
-            return LawResult(
-                name, cases, f"a={a!r} a1={a1!r} a2={a2!r} {_diff(left, right)}"
-            )
-    return LawResult(name, cases)
-
-
-def power_distributes_over_product(rng, cases: int) -> LawResult:
-    name = "power-distributes-over-product"
-    pairs = _sample_pfns(rng, 2 * cases)
-    alphas = _sample_alphas(rng, cases)
-    for i in range(cases):
-        a, b = pairs[2 * i], pairs[2 * i + 1]
-        alpha = float(alphas[i])
-        left = power(mul_p(a, b), alpha)
-        right = mul_p(power(a, alpha), power(b, alpha))
-        if not pfn_close(left, right):
-            return LawResult(
-                name, cases, f"a={a!r} b={b!r} alpha={alpha!r} {_diff(left, right)}"
-            )
-    return LawResult(name, cases)
-
-
-def powers_multiply(rng, cases: int) -> LawResult:
-    name = "powers-multiply"
-    points = _sample_pfns(rng, cases)
-    alphas = _sample_alphas(rng, 2 * cases)
-    for i in range(cases):
-        a = points[i]
-        a1, a2 = float(alphas[2 * i]), float(alphas[2 * i + 1])
-        left = mul_p(power(a, a1), power(a, a2))
-        right = power(a, a1 + a2)
-        if not pfn_close(left, right):
-            return LawResult(
-                name, cases, f"a={a!r} a1={a1!r} a2={a2!r} {_diff(left, right)}"
-            )
-    return LawResult(name, cases)
+_IDENTITY_SUITES = tuple(_identity_suite(*row) for row in (
+    ("addition-and-multiplication-commute", ("a", "b"),
+     ("add_p ", lambda a, b: (add_p(a, b), add_p(b, a))),
+     ("mul_p ", lambda a, b: (mul_p(a, b), mul_p(b, a)))),
+    ("scalar-distributes-over-addition", ("a", "b", "alpha"),
+     ("", lambda a, b, t: (
+         scalar_mul(t, add_p(a, b)), add_p(scalar_mul(t, a), scalar_mul(t, b))))),
+    ("scalar-multiples-add", ("a", "a1", "a2"),
+     ("", lambda a, s, t: (add_p(scalar_mul(s, a), scalar_mul(t, a)), scalar_mul(s + t, a)))),
+    ("power-distributes-over-product", ("a", "b", "alpha"),
+     ("", lambda a, b, t: (power(mul_p(a, b), t), mul_p(power(a, t), power(b, t))))),
+    ("powers-multiply", ("a", "a1", "a2"),
+     ("", lambda a, s, t: (mul_p(power(a, s), power(a, t)), power(a, s + t)))),
+))
 
 
 def membership_then_es_is_partial_order(rng, cases: int) -> LawResult:
@@ -241,8 +189,7 @@ def equal_score_tiebreaks_agree(rng, cases: int) -> LawResult:
     """On equal-score pairs the five tiebreak readings say the same thing."""
     name = "equal-score-tiebreaks-agree"
     bases = _sample_pfns(rng, cases)
-    done = 0
-    attempts = 0
+    done = attempts = 0
     while done < cases:
         a = bases[attempts % len(bases)]
         attempts += 1
@@ -317,16 +264,73 @@ def geometric_closed_form_matches_fold(rng, cases: int) -> LawResult:
     return LawResult(name, cases)
 
 
+# The set suites check 2 x 2 sets, every case at once.  The cases' tables
+# are stacked, (cases, 3, 2) per component, and go through softset's own
+# lattice kernels (looked up at call time), aligned as `is_subset`, `equals`
+# and `_combine` align two sets.  Case 0 and the first failing case are then
+# built and checked through the public API, which words the counterexample.
 _UNIVERSE = ("a1", "a2")
 _NAMES = ("c1", "c2")
 _POOL = len(_NAMES) * (1 + len(_UNIVERSE))
+# Where each table entry (row-major, importances last) comes from among a
+# case's draws: its PFNs hold the importances, then the cells parameter by
+# parameter; its uv pairs go to the importances, then the cells row by row.
+_FROM_POOL = [2, 4, 3, 5, 0, 1]
+_FROM_UV = [2, 3, 4, 5, 0, 1]
 
 
-def _softset_from(pool: list[PFN]) -> PhiSoftSet:
-    it = iter(pool)
-    params = [PFParameter(nm, next(it)) for nm in _NAMES]
-    cells = {(alt, nm): next(it) for nm in _NAMES for alt in _UNIVERSE}
-    return build(_UNIVERSE, params, cells)
+def _stack(values: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, n) tables of `values`, _POOL pairs per case, in `order`."""
+    tables = values.reshape(-1, _POOL, 2)[:, order].reshape(-1, len(_UNIVERSE) + 1, len(_NAMES), 2)
+    return tables[..., 0], tables[..., 1]
+
+
+def _case(m: np.ndarray, n: np.ndarray, i: int) -> PhiSoftSet:
+    """Case i of stacked tables, assembled and validated by `build`."""
+    *rows, importances = (list(zip(rm, rn)) for rm, rn in zip(m[i].tolist(), n[i].tolist()))
+    cells = dict(zip(product(_UNIVERSE, _NAMES), (pair for row in rows for pair in row)))
+    return build(_UNIVERSE, zip(_NAMES, importances), cells)
+
+
+def _checked(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked tables that pass `check_cells`' test; otherwise the first bad
+    case is built, so `build` raises its located InvalidPFN."""
+    bad = ~softset._valid(m, n).all(axis=(-2, -1))
+    if bad.any():
+        _case(m, n, int(bad.argmax()))
+    return m, n
+
+
+def _replayed(name: str, cases: int, failed: np.ndarray, replay) -> LawResult:
+    """The verdict on per-case batched `failed` flags.  `replay(i)` checks
+    case i through the public API and returns its counterexample or None;
+    it runs on case 0 and on the first flagged case."""
+    for i in sorted({0, int(failed.argmax())}):
+        counterexample = replay(i)
+        if counterexample is None and failed[i]:
+            counterexample = f"case {i} fails in the batched check only"
+        if counterexample is not None:
+            return LawResult(name, cases, counterexample)
+    return LawResult(name, cases)
+
+
+def _identities_case(x: PhiSoftSet, i: int, null: PhiSoftSet, whole: PhiSoftSet) -> str | None:
+    if i % 2 == 0:
+        union, intersection, variant = extended_union, extended_intersection, "extended"
+    else:
+        union, intersection, variant = restricted_union, restricted_intersection, "restricted"
+    checks = (
+        ("union idempotent", union(x, x), x),
+        ("intersection idempotent", intersection(x, x), x),
+        ("union with null", union(x, null), x),
+        ("intersection with null", intersection(x, null), null),
+        ("union with whole", union(x, whole), whole),
+        ("intersection with whole", intersection(x, whole), x),
+    )
+    for label, got, expected in checks:
+        if not equals(got, expected):
+            return f"{variant} {label} fails on {x.cells!r}"
+    return None
 
 
 def combination_identities(rng, cases: int) -> LawResult:
@@ -334,85 +338,80 @@ def combination_identities(rng, cases: int) -> LawResult:
 
     Cases alternate between the extended and the restricted operators.
     """
-    name = "combination-identities"
-    null = null_set(_UNIVERSE, _NAMES)
-    whole = whole_set(_UNIVERSE, _NAMES)
-    pool = _sample_pfns(rng, _POOL * cases)
-    for i in range(cases):
-        x = _softset_from(pool[_POOL * i : _POOL * (i + 1)])
-        if i % 2 == 0:
-            union, intersection, variant = extended_union, extended_intersection, "extended"
-        else:
-            union, intersection, variant = restricted_union, restricted_intersection, "restricted"
-        checks = (
-            ("union idempotent", union(x, x), x),
-            ("intersection idempotent", intersection(x, x), x),
-            ("union with null", union(x, null), x),
-            ("intersection with null", intersection(x, null), null),
-            ("union with whole", union(x, whole), whole),
-            ("intersection with whole", intersection(x, whole), x),
-        )
-        for label, got, expected in checks:
-            if not equals(got, expected):
-                return LawResult(name, cases, f"{variant} {label} fails on {x.cells!r}")
-    return LawResult(name, cases)
+    null, whole = null_set(_UNIVERSE, _NAMES), whole_set(_UNIVERSE, _NAMES)
+    x = _checked(*_stack(_sample_points(rng, _POOL * cases), _FROM_POOL))
+    o, z = (null.table_m, null.table_n), (whole.table_m, whole.table_n)
+    # x, null and whole list the same alternatives and parameters in the same
+    # order, so every operator takes `_combine`'s whole-table path.
+    join, meet, close = softset._join, softset._meet, softset._close
+    ok = close(*join(*x, *x), *x) & close(*meet(*x, *x), *x)
+    ok &= close(*join(*x, *o), *x) & close(*meet(*x, *o), *o)
+    ok &= close(*join(*x, *z), *z) & close(*meet(*x, *z), *x)
+    replay = lambda i: _identities_case(_case(*x, i), i, null, whole)  # noqa: E731
+    return _replayed("combination-identities", cases, ~ok, replay)
 
 
-def _shrunk(value: PFN, u: float, v: float) -> PFN:
-    """A PFN lattice-below `value`: membership shrinks, non-membership grows."""
-    m = value.m * u
-    n2 = value.n * value.n + v * (1.0 - m * m - value.n * value.n)
-    # the max() guards the <= comparisons against sqrt round-off
-    return PFN(m, max(value.n, math.sqrt(max(0.0, min(1.0, n2)))))
+def _shrunk(m: np.ndarray, n: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Tables lattice-below (m, n): memberships shrink, non-memberships grow."""
+    sm = m * u
+    n2 = n * n + v * (1.0 - sm * sm - n * n)
+    # the maximum guards the <= comparisons against sqrt round-off
+    return sm, np.maximum(n, np.sqrt(np.maximum(0.0, np.minimum(1.0, n2))))
 
 
-def _grown(value: PFN, u: float, v: float) -> PFN:
-    """A PFN lattice-above `value`."""
-    n = value.n * u
-    m2 = value.m * value.m + v * (1.0 - value.m * value.m - n * n)
-    return PFN(max(value.m, math.sqrt(max(0.0, min(1.0, m2)))), n)
+def _grown(m: np.ndarray, n: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Tables lattice-above (m, n)."""
+    gn = n * u
+    m2 = m * m + v * (1.0 - m * m - gn * gn)
+    return np.maximum(m, np.sqrt(np.maximum(0.0, np.minimum(1.0, m2)))), gn
 
 
-def _map_set(s: PhiSoftSet, f, uv) -> PhiSoftSet:
-    it = iter(uv)
-    params = [
-        PFParameter(p.name, f(p.importance, *next(it))) for p in s.parameters
-    ]
-    cells = {key: f(value, *next(it)) for key, value in s.cells.items()}
-    return build(s.universe, params, cells)
+def _chain(rng, cases: int):
+    """Stacked (m, n) tables b, then a below and c above b, per case."""
+    b = _checked(*_stack(_sample_points(rng, _POOL * cases), _FROM_POOL))
+    uv = rng.random((cases, 2 * _POOL, 2))
+    a = _checked(*_shrunk(*b, *_stack(uv[:, :_POOL], _FROM_UV)))
+    return b, a, _checked(*_grown(*b, *_stack(uv[:, _POOL:], _FROM_UV)))
+
+
+def _permuted(s: PhiSoftSet) -> PhiSoftSet:
+    return build(tuple(reversed(s.universe)), tuple(reversed(s.parameters)), s.cells)
+
+
+def _subset_case(b: PhiSoftSet, a: PhiSoftSet, c: PhiSoftSet) -> str | None:
+    if not (is_subset(a, b) and is_subset(b, c)):
+        return f"constructed chain broken: {b.cells!r}"
+    if not is_subset(a, c):
+        return f"not transitive: {b.cells!r}"
+    permuted = _permuted(b)
+    if not (is_subset(b, permuted) and is_subset(permuted, b)):
+        return f"mutual subset broken: {b.cells!r}"
+    if not equals(b, permuted):
+        return f"antisymmetry broken: {b.cells!r}"
+    if not equals(a, c) and is_subset(c, a):
+        return f"order collapsed: {b.cells!r}"
+    return None
 
 
 def subset_is_transitive_and_antisymmetric(rng, cases: int) -> LawResult:
-    name = "subset-is-transitive-and-antisymmetric"
-    pool = _sample_pfns(rng, _POOL * cases)
-    uv = rng.random((cases, 2 * _POOL, 2))
-    for i in range(cases):
-        b = _softset_from(pool[_POOL * i : _POOL * (i + 1)])
-        a = _map_set(b, _shrunk, uv[i, :_POOL])
-        c = _map_set(b, _grown, uv[i, _POOL:])
-        if not (is_subset(a, b) and is_subset(b, c)):
-            return LawResult(name, cases, f"constructed chain broken: {b.cells!r}")
-        if not is_subset(a, c):
-            return LawResult(name, cases, f"not transitive: {b.cells!r}")
-        permuted = build(
-            tuple(reversed(b.universe)), tuple(reversed(b.parameters)), b.cells
-        )
-        if not (is_subset(b, permuted) and is_subset(permuted, b)):
-            return LawResult(name, cases, f"mutual subset broken: {b.cells!r}")
-        if not equals(b, permuted):
-            return LawResult(name, cases, f"antisymmetry broken: {b.cells!r}")
-        if not equals(a, c) and is_subset(c, a):
-            return LawResult(name, cases, f"order collapsed: {b.cells!r}")
-    return LawResult(name, cases)
+    """a <= b <= c for b's shrunk and grown copies; subset is transitive,
+    antisymmetric against b in reversed order, and does not collapse."""
+    b, a, c = _chain(rng, cases)
+    b0 = _case(*b, 0)
+    p0 = _permuted(b0)
+    p = softset._aligned(p0, b0, b)  # the permuted sets: b's tables in p0's order
+    p_as_b, b_as_p = softset._aligned(b0, p0, p), softset._aligned(p0, b0, b)
+    dominated, close = softset._dominated, softset._close
+    ok = dominated(*a, *b) & dominated(*b, *c) & dominated(*a, *c)
+    ok &= dominated(*b, *p_as_b) & dominated(*p, *b_as_p) & close(*b, *p_as_b)
+    ok &= close(*a, *c) | ~dominated(*c, *a)
+    replay = lambda i: _subset_case(*(_case(*t, i) for t in (b, a, c)))  # noqa: E731
+    return _replayed("subset-is-transitive-and-antisymmetric", cases, ~ok, replay)
 
 
 ALL_LAWS = (
     closure_of_pfn_operations,
-    addition_and_multiplication_commute,
-    scalar_distributes_over_addition,
-    scalar_multiples_add,
-    power_distributes_over_product,
-    powers_multiply,
+    *_IDENTITY_SUITES,
     membership_then_es_is_partial_order,
     score_accuracy_agrees_with_es_then_membership,
     equal_score_tiebreaks_agree,

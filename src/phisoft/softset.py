@@ -187,12 +187,18 @@ def _reject(value, alts, names, i: int, j: int, where: str = "") -> None:
         raise InvalidPFN(f"{what}{where}: {exc}") from None
 
 
+def _valid(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Entrywise: whether (m, n) is a valid PFN, by PFN's own test."""
+    ok = (m >= 0.0) & (m <= 1.0) & (n >= 0.0) & (n <= 1.0)
+    ok &= m * m + n * n <= 1.0 + VALIDITY_EPS
+    return ok
+
+
 def check_cells(m: np.ndarray, n: np.ndarray, alts, names, locate=None) -> None:
     """Raise InvalidPFN for the first entry, row-major, of an (A + 1) x P table
     that is not a valid PFN.  The test is PFN's own, over whole arrays;
     `locate(i, j)`, if given, says where entry (i, j) sits in the input."""
-    ok = (m >= 0.0) & (m <= 1.0) & (n >= 0.0) & (n <= 1.0)
-    ok &= m * m + n * n <= 1.0 + VALIDITY_EPS
+    ok = _valid(m, n)
     if not ok.all():
         i, j = (int(k) for k in np.argwhere(~ok)[0])
         _reject((m.item(i, j), n.item(i, j)), alts, names, i, j, locate(i, j) if locate else "")
@@ -284,21 +290,50 @@ def _columns(names: tuple[str, ...], b: PhiSoftSet) -> list[int] | None:
 
 
 def _gather(values: np.ndarray, rows, cols) -> np.ndarray:
-    """`values` restricted to the given rows and columns; None keeps all."""
+    """`values` restricted to the given rows and columns (the last two axes,
+    so a stack of tables gathers alike); None keeps all."""
     if rows is not None:
-        values = values.take(rows, axis=0)
+        values = values.take(rows, axis=-2)
     if cols is not None:
-        values = values.take(cols, axis=1)
+        values = values.take(cols, axis=-1)
     return values
 
 
-def _aligned(a: PhiSoftSet, b: PhiSoftSet) -> tuple[np.ndarray, np.ndarray]:
-    """b's table in a's row and column order (the universes must match).
+def _aligned(a: PhiSoftSet, b: PhiSoftSet, tables=None) -> tuple[np.ndarray, np.ndarray]:
+    """b's (m, n) tables, or stacks of `tables` laid out as b's, in a's row
+    and column order (the universes must match).
 
     Raises KeyError for a parameter name of a that b lacks.
     """
     rows, cols = _rows(a.universe, b), _columns(a.parameter_names, b)
-    return _gather(b.table_m, rows, cols), _gather(b.table_n, rows, cols)
+    bm, bn = tables or (b.table_m, b.table_n)
+    return _gather(bm, rows, cols), _gather(bn, rows, cols)
+
+
+# The lattice kernels.  Each takes the (m, n) tables of a and of b, aligned,
+# and works on the last two axes, so it serves one table or a stack of them.
+
+
+def _dominated(am, an, bm, bn) -> np.ndarray:
+    """Per table: whether every entry of a is lattice-below b's."""
+    return ~((am > bm) | (an < bn)).any(axis=(-2, -1))
+
+
+def _close(am, an, bm, bn) -> np.ndarray:
+    """Per table: whether every component of a is within COMPARE_EPS of b's."""
+    return ~((np.abs(am - bm) > COMPARE_EPS) | (np.abs(an - bn) > COMPARE_EPS)).any(
+        axis=(-2, -1)
+    )
+
+
+def _join(am, an, bm, bn) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise lattice join: (max m, min n)."""
+    return np.maximum(am, bm), np.minimum(an, bn)
+
+
+def _meet(am, an, bm, bn) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise lattice meet: (min m, max n)."""
+    return np.minimum(am, bm), np.maximum(an, bn)
 
 
 def is_subset(a: PhiSoftSet, b: PhiSoftSet) -> bool:
@@ -314,7 +349,7 @@ def is_subset(a: PhiSoftSet, b: PhiSoftSet) -> bool:
         bm, bn = _aligned(a, b)
     except KeyError:
         return False
-    return not np.count_nonzero((a.table_m > bm) | (a.table_n < bn))
+    return bool(_dominated(a.table_m, a.table_n, bm, bn))
 
 
 def equals(a: PhiSoftSet, b: PhiSoftSet) -> bool:
@@ -325,12 +360,7 @@ def equals(a: PhiSoftSet, b: PhiSoftSet) -> bool:
     """
     if not _same_universe(a, b) or set(a.parameter_names) != set(b.parameter_names):
         return False
-    bm, bn = _aligned(a, b)
-    if a.table_m.tobytes() == bm.tobytes() and a.table_n.tobytes() == bn.tobytes():
-        return True  # bit-identical tables; cheaper to see than the tolerance
-    return not np.count_nonzero(
-        (np.abs(a.table_m - bm) > COMPARE_EPS) | (np.abs(a.table_n - bn) > COMPARE_EPS)
-    )
+    return bool(_close(a.table_m, a.table_n, *_aligned(a, b)))
 
 
 def _combine(a: PhiSoftSet, b: PhiSoftSet, union: bool, extended: bool) -> PhiSoftSet:
@@ -339,14 +369,13 @@ def _combine(a: PhiSoftSet, b: PhiSoftSet, union: bool, extended: bool) -> PhiSo
             f"universes differ: {sorted(a.universe)} vs {sorted(b.universe)}"
         )
     # Join and meet of valid PFNs are valid, so the result needs no checks.
-    up, down = (np.maximum, np.minimum) if union else (np.minimum, np.maximum)
+    lattice = _join if union else _meet
     if not extended and not set(a.parameter_names) & set(b.parameter_names):
         raise EmptyIntersection("the parameter sets share no name")
     rows = _rows(a.universe, b)
     if a.parameter_names == b.parameter_names:
-        m = up(a.table_m, _gather(b.table_m, rows, None))
-        n = down(a.table_n, _gather(b.table_n, rows, None))
-        return PhiSoftSet(a.universe, a.parameter_names, m, n)
+        bm, bn = _gather(b.table_m, rows, None), _gather(b.table_n, rows, None)
+        return PhiSoftSet(a.universe, a.parameter_names, *lattice(a.table_m, a.table_n, bm, bn))
 
     a_cols, b_cols = a._lookup()[1], b._lookup()[1]
     names = [name for name in a.parameter_names if extended or name in b_cols]
@@ -355,8 +384,8 @@ def _combine(a: PhiSoftSet, b: PhiSoftSet, union: bool, extended: bool) -> PhiSo
     keep = [a_cols[name] for name in names]
     m, n = a.table_m[:, keep], a.table_n[:, keep]
     if shared:
-        m[:, shared] = up(m[:, shared], _gather(b.table_m, rows, theirs))
-        n[:, shared] = down(n[:, shared], _gather(b.table_n, rows, theirs))
+        bm, bn = _gather(b.table_m, rows, theirs), _gather(b.table_n, rows, theirs)
+        m[:, shared], n[:, shared] = lattice(m[:, shared], n[:, shared], bm, bn)
     extra = [k for k, name in enumerate(b.parameter_names) if name not in a_cols]
     if extended and extra:
         names += [b.parameter_names[k] for k in extra]

@@ -3,11 +3,27 @@ acceptance suite and behind the `laws` subcommand)."""
 
 import copy
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from phisoft import laws
+from phisoft import (
+    PFN,
+    PFParameter,
+    build,
+    equals,
+    extended_intersection,
+    extended_union,
+    is_subset,
+    laws,
+    null_set,
+    restricted_intersection,
+    restricted_union,
+    softset,
+    whole_set,
+)
+from phisoft.errors import InvalidPFN
 
 
 def test_all_suites_pass_on_a_short_run():
@@ -66,3 +82,250 @@ def test_each_suite_draws_what_it_drew():
         law(rng, 300)
         after.append(copy.deepcopy(rng).random())
     assert tuple(after) == NEXT_DRAW_AFTER_SUITE
+
+
+def test_suite_names_and_case_counts():
+    names = [law.__name__.replace("_", "-") for law in laws.ALL_LAWS]
+    assert names == [
+        "closure-of-pfn-operations", "addition-and-multiplication-commute",
+        "scalar-distributes-over-addition", "scalar-multiples-add",
+        "power-distributes-over-product", "powers-multiply",
+        "membership-then-es-is-partial-order", "score-accuracy-agrees-with-es-then-membership",
+        "equal-score-tiebreaks-agree", "addition-preserves-order", "scaling-preserves-order",
+        "geometric-closed-form-matches-fold", "combination-identities",
+        "subset-is-transitive-and-antisymmetric",
+    ]
+    results = laws.run_all(cases=7, seed=1)
+    assert [r.name for r in results] == names
+    assert {r.cases for r in results} == {7}
+
+
+# `pfn_close` stand-ins that fail on some cases, so every identity suite
+# prints a counterexample, commute's with the prefix given.  The report
+# hashes were taken on the per-suite loops the identity table replaced.
+IDENTITY_FAILURES = [
+    (lambda left, right: left.m >= 0.2, "mul_p a=",
+     "b9ac2017b450c1358254d01f79ea7b8edc44f9fff20ed79d5495e2af58f62d26"),
+    (lambda left, right: left.m <= 0.5, "add_p a=",
+     "f071d69145721b74c97dd00f58edf8f50515bc0bce349f84226369c28e80745d"),
+]
+
+
+@pytest.mark.parametrize(("close", "prefix", "sha256"), IDENTITY_FAILURES, ids=["mul_p", "add_p"])
+def test_identity_counterexamples_keep_their_format(close, prefix, sha256, monkeypatch):
+    monkeypatch.setattr(laws, "pfn_close", close)
+    text = laws.render_report(laws.run_all(40, 3), 3)
+    assert text.count("FAIL") == 5 and f"counterexample: {prefix}" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+# --- the batched set suites against their per-case reference ---------------
+#
+# The per-case loops the batched suites replaced: one 2 x 2 set built per
+# case, checked through `build`, `is_subset`, `equals` and the four
+# combination operators.  They draw exactly what the suites draw.
+
+_UNIVERSE, _NAMES, _POOL = laws._UNIVERSE, laws._NAMES, laws._POOL
+
+
+def _softset_from(pool):
+    it = iter(pool)
+    params = [PFParameter(nm, next(it)) for nm in _NAMES]
+    cells = {(alt, nm): next(it) for nm in _NAMES for alt in _UNIVERSE}
+    return build(_UNIVERSE, params, cells)
+
+
+def _shrunk(value, u, v):
+    m = value.m * u
+    n2 = value.n * value.n + v * (1.0 - m * m - value.n * value.n)
+    return PFN(m, max(value.n, math.sqrt(max(0.0, min(1.0, n2)))))
+
+
+def _grown(value, u, v):
+    n = value.n * u
+    m2 = value.m * value.m + v * (1.0 - value.m * value.m - n * n)
+    return PFN(max(value.m, math.sqrt(max(0.0, min(1.0, m2)))), n)
+
+
+def _map_set(s, f, uv):
+    it = iter(uv)
+    params = [PFParameter(p.name, f(p.importance, *next(it))) for p in s.parameters]
+    cells = {key: f(value, *next(it)) for key, value in s.cells.items()}
+    return build(s.universe, params, cells)
+
+
+def _reference_chains(rng, cases):
+    pool = laws._sample_pfns(rng, _POOL * cases)
+    uv = rng.random((cases, 2 * _POOL, 2))
+    for i in range(cases):
+        b = _softset_from(pool[_POOL * i : _POOL * (i + 1)])
+        yield b, _map_set(b, _shrunk, uv[i, :_POOL]), _map_set(b, _grown, uv[i, _POOL:])
+
+
+def reference_subset_suite(rng, cases):
+    """(index, counterexample) of the first failing case, or (None, None)."""
+    for i, (b, a, c) in enumerate(_reference_chains(rng, cases)):
+        if not (is_subset(a, b) and is_subset(b, c)):
+            return i, f"constructed chain broken: {b.cells!r}"
+        if not is_subset(a, c):
+            return i, f"not transitive: {b.cells!r}"
+        permuted = build(tuple(reversed(b.universe)), tuple(reversed(b.parameters)), b.cells)
+        if not (is_subset(b, permuted) and is_subset(permuted, b)):
+            return i, f"mutual subset broken: {b.cells!r}"
+        if not equals(b, permuted):
+            return i, f"antisymmetry broken: {b.cells!r}"
+        if not equals(a, c) and is_subset(c, a):
+            return i, f"order collapsed: {b.cells!r}"
+    return None, None
+
+
+def reference_identities_suite(rng, cases):
+    null, whole = null_set(_UNIVERSE, _NAMES), whole_set(_UNIVERSE, _NAMES)
+    pool = laws._sample_pfns(rng, _POOL * cases)
+    for i in range(cases):
+        x = _softset_from(pool[_POOL * i : _POOL * (i + 1)])
+        if i % 2 == 0:
+            union, intersection, variant = extended_union, extended_intersection, "extended"
+        else:
+            union, intersection, variant = restricted_union, restricted_intersection, "restricted"
+        checks = (
+            ("union idempotent", union(x, x), x),
+            ("intersection idempotent", intersection(x, x), x),
+            ("union with null", union(x, null), x),
+            ("intersection with null", intersection(x, null), null),
+            ("union with whole", union(x, whole), whole),
+            ("intersection with whole", intersection(x, whole), x),
+        )
+        for label, got, expected in checks:
+            if not equals(got, expected):
+                return i, f"{variant} {label} fails on {x.cells!r}"
+    return None, None
+
+
+REFERENCES = {
+    laws.subset_is_transitive_and_antisymmetric: reference_subset_suite,
+    laws.combination_identities: reference_identities_suite,
+}
+
+
+def _against_reference(suite, seed, cases):
+    """The batched verdict and the reference's (index, counterexample),
+    after checking both leave the generator in the same state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    result = suite(rng, cases)
+    index, counterexample = REFERENCES[suite](ref_rng, cases)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert result.cases == cases
+    return result, index, counterexample
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).tobytes()
+
+
+def _sometimes_wrong(kernel):
+    """`kernel`, wrong on the pairs of tables whose entries hash to 0 mod 13.
+
+    The hash is an exact integer sum, the same for a table alone and for it
+    inside a stack, so the fault hits each check on cases of its own.
+    """
+
+    def wrong(am, an, bm, bn):
+        key = sum((t * 2**20).astype(np.int64) * w for t, w in zip((am, an, bm, bn), (1, 3, 5, 7)))
+        hit = key.sum(axis=(-2, -1)) % 13 == 0
+        out = kernel(am, an, bm, bn)
+        if isinstance(out, tuple):  # a join or meet: halve the memberships
+            return np.where(hit[..., None, None], out[0] * 0.5, out[0]), out[1]
+        return out ^ hit
+
+    return wrong
+
+
+class TestBatchedSetSuites:
+    def test_stacked_tables_are_the_per_case_sets(self):
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        stacks = laws._chain(rng, 300)
+        for i, sets in enumerate(_reference_chains(ref_rng, 300)):
+            for (m, n), s in zip(stacks, sets):
+                assert _bits(m[i]) == _bits(s.table_m) and _bits(n[i]) == _bits(s.table_n)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("suite", list(REFERENCES), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("seed", [0, 9, 31])
+    def test_same_verdict_as_the_reference(self, suite, seed):
+        result, index, counterexample = _against_reference(suite, seed, 400)
+        assert result.ok and index is None
+
+    @pytest.mark.parametrize("suite", list(REFERENCES), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        ("broken", "first_failure"),
+        [
+            # >= lets no table be a subset of itself
+            (lambda am, an, bm, bn: ~((am >= bm) | (an < bn)).any(axis=(-2, -1)),
+             "mutual subset broken"),
+            # every table a subset of every other
+            (lambda am, an, bm, bn: np.ones(np.broadcast(am, bm).shape[:-2], bool),
+             "order collapsed"),
+        ],
+        ids=["strict", "always"],
+    )
+    def test_a_broken_subset_kernel_is_reported_alike(
+        self, suite, broken, first_failure, monkeypatch
+    ):
+        monkeypatch.setattr(softset, "_dominated", broken)
+        result, index, counterexample = _against_reference(suite, 5, 300)
+        if suite is laws.combination_identities:  # uses no subset test
+            assert result.ok and index is None
+        else:
+            assert not result.ok and result.counterexample == counterexample
+            assert counterexample.startswith(first_failure)
+
+    @pytest.mark.parametrize("suite", list(REFERENCES), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("kernel", ["_dominated", "_close", "_join", "_meet"])
+    def test_a_fault_on_some_cases_is_reported_alike(self, suite, kernel, monkeypatch):
+        monkeypatch.setattr(softset, kernel, _sometimes_wrong(getattr(softset, kernel)))
+        first = []
+        for seed in range(12):
+            result, index, counterexample = _against_reference(suite, seed, 200)
+            assert result.counterexample == counterexample
+            first.append(index)
+        combines = suite is laws.combination_identities
+        if kernel in (("_close", "_join", "_meet") if combines else ("_dominated", "_close")):
+            assert None not in first and max(first) > 0
+        else:
+            assert first == [None] * 12
+
+    @pytest.mark.parametrize("suite", list(REFERENCES), ids=lambda f: f.__name__)
+    def test_swapped_join_and_meet_are_reported_alike(self, suite, monkeypatch):
+        join, meet = softset._join, softset._meet
+        monkeypatch.setattr(softset, "_join", meet)
+        monkeypatch.setattr(softset, "_meet", join)
+        result, index, counterexample = _against_reference(suite, 5, 300)
+        if suite is laws.subset_is_transitive_and_antisymmetric:  # combines nothing
+            assert result.ok and index is None
+        else:
+            assert not result.ok and result.counterexample == counterexample
+            assert counterexample.startswith("extended union with null fails")
+
+    @pytest.mark.parametrize("suite", list(REFERENCES), ids=lambda f: f.__name__)
+    def test_a_broken_closeness_kernel_is_reported_alike(self, suite, monkeypatch):
+        def never(am, an, bm, bn):
+            return np.zeros(np.broadcast(am, bm).shape[:-2], bool)
+
+        monkeypatch.setattr(softset, "_close", never)
+        result, index, counterexample = _against_reference(suite, 5, 300)
+        assert index == 0
+        assert not result.ok and result.counterexample == counterexample
+
+    def test_an_invalid_stacked_entry_raises_the_located_error(self):
+        pool = laws._sample_points(np.random.default_rng(2), 3 * _POOL)
+        m, n = (t.copy() for t in laws._stack(pool, laws._FROM_POOL))
+        m[1, -1, 1] = 1.5  # case 1's importance of c2
+        with pytest.raises(InvalidPFN, match=r"importance of 'c2': degrees must lie in \[0, 1\]"):
+            laws._checked(m, n)
+
+    def test_a_failure_only_the_batch_sees_is_reported(self):
+        failed = np.array([False, False, True, True])
+        result = laws._replayed("demo-law", 4, failed, lambda i: None)
+        assert result.counterexample == "case 2 fails in the batched check only"
+        assert laws._replayed("demo-law", 4, np.zeros(4, bool), lambda i: None).ok
