@@ -399,11 +399,11 @@ def subset_is_transitive_and_antisymmetric(rng, cases: int) -> LawResult:
     b, a, c = _chain(rng, cases)
     b0 = _case(*b, 0)
     p0 = _permuted(b0)
-    p = softset._aligned(p0, b0, b)  # the permuted sets: b's tables in p0's order
-    p_as_b, b_as_p = softset._aligned(b0, p0, p), softset._aligned(p0, b0, b)
+    p = softset._aligned(p0, b0, b)  # the permuted tables, and b aligned to them
+    p_as_b = softset._aligned(b0, p0, p)
     dominated, close = softset._dominated, softset._close
     ok = dominated(*a, *b) & dominated(*b, *c) & dominated(*a, *c)
-    ok &= dominated(*b, *p_as_b) & dominated(*p, *b_as_p) & close(*b, *p_as_b)
+    ok &= dominated(*b, *p_as_b) & dominated(*p, *p) & close(*b, *p_as_b)
     ok &= close(*a, *c) | ~dominated(*c, *a)
     replay = lambda i: _subset_case(*(_case(*t, i) for t in (b, a, c)))  # noqa: E731
     return _replayed("subset-is-transitive-and-antisymmetric", cases, ~ok, replay)

@@ -321,9 +321,8 @@ def _dominated(am, an, bm, bn) -> np.ndarray:
 
 def _close(am, an, bm, bn) -> np.ndarray:
     """Per table: whether every component of a is within COMPARE_EPS of b's."""
-    return ~((np.abs(am - bm) > COMPARE_EPS) | (np.abs(an - bn) > COMPARE_EPS)).any(
-        axis=(-2, -1)
-    )
+    far = (np.abs(am - bm) > COMPARE_EPS) | (np.abs(an - bn) > COMPARE_EPS)
+    return ~far.any(axis=(-2, -1))
 
 
 def _join(am, an, bm, bn) -> tuple[np.ndarray, np.ndarray]:
