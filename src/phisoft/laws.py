@@ -340,13 +340,13 @@ def combination_identities(rng, cases: int) -> LawResult:
     """
     null, whole = null_set(_UNIVERSE, _NAMES), whole_set(_UNIVERSE, _NAMES)
     x = _checked(*_stack(_sample_points(rng, _POOL * cases), _FROM_POOL))
-    o, z = (null.table_m, null.table_n), (whole.table_m, whole.table_n)
+    lo, hi = (null.table_m, null.table_n), (whole.table_m, whole.table_n)
     # x, null and whole list the same alternatives and parameters in the same
     # order, so every operator takes `_combine`'s whole-table path.
     join, meet, close = softset._join, softset._meet, softset._close
     ok = close(*join(*x, *x), *x) & close(*meet(*x, *x), *x)
-    ok &= close(*join(*x, *o), *x) & close(*meet(*x, *o), *o)
-    ok &= close(*join(*x, *z), *z) & close(*meet(*x, *z), *x)
+    ok &= close(*join(*x, *lo), *x) & close(*meet(*x, *lo), *lo)
+    ok &= close(*join(*x, *hi), *hi) & close(*meet(*x, *hi), *x)
     replay = lambda i: _identities_case(_case(*x, i), i, null, whole)  # noqa: E731
     return _replayed("combination-identities", cases, ~ok, replay)
 

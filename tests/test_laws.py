@@ -280,20 +280,20 @@ class TestBatchedSetSuites:
             assert not result.ok and result.counterexample == counterexample
             assert counterexample.startswith(first_failure)
 
-    @pytest.mark.parametrize("suite", list(REFERENCES), ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("kernel", ["_dominated", "_close", "_join", "_meet"])
+    @pytest.mark.parametrize(
+        ("suite", "kernel"),
+        [(laws.subset_is_transitive_and_antisymmetric, k) for k in ("_dominated", "_close")]
+        + [(laws.combination_identities, k) for k in ("_close", "_join", "_meet")],
+        ids=["subset-dominated", "subset-close", "identities-close", "join", "meet"],
+    )
     def test_a_fault_on_some_cases_is_reported_alike(self, suite, kernel, monkeypatch):
         monkeypatch.setattr(softset, kernel, _sometimes_wrong(getattr(softset, kernel)))
         first = []
         for seed in range(12):
             result, index, counterexample = _against_reference(suite, seed, 200)
-            assert result.counterexample == counterexample
+            assert not result.ok and result.counterexample == counterexample
             first.append(index)
-        combines = suite is laws.combination_identities
-        if kernel in (("_close", "_join", "_meet") if combines else ("_dominated", "_close")):
-            assert None not in first and max(first) > 0
-        else:
-            assert first == [None] * 12
+        assert max(first) > 0
 
     @pytest.mark.parametrize("suite", list(REFERENCES), ids=lambda f: f.__name__)
     def test_swapped_join_and_meet_are_reported_alike(self, suite, monkeypatch):
