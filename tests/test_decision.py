@@ -1,9 +1,11 @@
 """The five-step decision procedure and its report invariants."""
 
+import numpy as np
 import pytest
 
 from phisoft import (
     Aggregator,
+    AlternativeMeasures,
     CombineRule,
     DecisionConfig,
     OrderKind,
@@ -15,6 +17,7 @@ from phisoft import (
     extended_intersection,
     equals,
 )
+from phisoft.pfn import order_key
 from phisoft.errors import (
     DegenerateWeights,
     EmptyIntersection,
@@ -193,3 +196,119 @@ def test_report_row_lookup(table1, table2):
     assert report.row("p3").alternative == "p3"
     with pytest.raises(KeyError):
         report.row("p9")
+
+
+# --- ranking and row contract pins ---------------------------------------
+
+ORDERS = (OrderKind.ES_THEN_MEMBERSHIP, OrderKind.MEMBERSHIP_THEN_ES, OrderKind.SCORE_ACCURACY)
+TIED_IDS = ("b10", "b9", "a\x00", "a", "A", "é")
+
+
+def reference_ranks(universe, m, n, order):
+    """Rank per alternative from one Python sort on 4-tuple keys: descending
+    primary, descending tiebreak, larger membership, then id ascending."""
+    primary, tiebreak = order_key(order, np.asarray(m), np.asarray(n))
+    keys = list(zip((-primary).tolist(), (-tiebreak).tolist(), (-np.asarray(m)).tolist(), universe))
+    ranks = [0] * len(keys)
+    for rank, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__), 1):
+        ranks[i] = rank
+    return ranks
+
+
+def _seeded_table(seed, grid):
+    """A 2000×6 set with shuffled mixed-script ids.  With `grid`, every row
+    is one of 20 rows of tenths, so about 100 alternatives tie exactly on
+    all three numeric keys and the id decides among them."""
+    rng = np.random.default_rng(seed)
+    prefixes = ("a", "B", "b", "é", "Z", "z0", "_")
+    universe = [f"{prefixes[k % len(prefixes)]}{k}" for k in range(2000)]
+    universe = [universe[k] for k in rng.permutation(2000)]
+    names = [f"c{j}" for j in range(6)]
+    if grid:
+        pick = rng.integers(0, 20, 2001)
+        m = (rng.integers(0, 8, (20, 6)) / 10.0)[pick]
+        n = (rng.integers(0, 8, (20, 6)) / 10.0)[pick]
+    else:
+        m = rng.random((2001, 6))
+        n = rng.random((2001, 6)) * np.sqrt(1.0 - m * m)
+    cells = {(alt, name): (m[i, j], n[i, j]) for i, alt in enumerate(universe) for j, name in enumerate(names)}
+    return build(universe, [(name, (m[-1, j], n[-1, j])) for j, name in enumerate(names)], cells)
+
+
+def _tied_table():
+    """Identical rows: all three numeric keys tie exactly, ids decide."""
+    cells = {(alt, name): (0.5, 0.5) for alt in TIED_IDS for name in ("c1", "c2")}
+    return build(TIED_IDS, [("c1", (0.5, 0.4)), ("c2", (0.6, 0.3))], cells)
+
+
+ZERO_ROWS = {
+    "z1": [(0.0, 1.0), (0.0, 1.0)],
+    "z2": [(0.0, 0.5), (0.0, 0.5)],
+    "z3": [(1e-13, 1.0), (1e-13, 1.0)],
+    "z4": [(0.5, 0.5), (0.5, 0.5)],
+    "z5": [(0.0, 1.0), (0.0, 0.0)],
+    "z6": [(1e-300, 1.0), (1e-300, 1.0)],
+    "z7": [(0.3, 0.3), (0.4, 0.4)],
+}
+
+
+def _zero_table():
+    """Rows whose primary key is 0: the geometric operator gives an all-zero
+    membership -0.0, so negated keys of -0.0 and 0.0 meet in one sort."""
+    cells = {(alt, name): v for alt, vs in ZERO_ROWS.items() for name, v in zip(("c1", "c2"), vs)}
+    return build(tuple(ZERO_ROWS), [("c1", (0.5, 0.4)), ("c2", (0.6, 0.3))], cells)
+
+
+RANK_TABLES = {
+    "seeded-2000x6": lambda: _seeded_table(3, grid=False),
+    "seeded-2000x6-grid": lambda: _seeded_table(4, grid=True),
+    "identical-rows": _tied_table,
+    "zero-primary": _zero_table,
+}
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.value)
+@pytest.mark.parametrize("aggregator", list(Aggregator), ids=lambda a: a.value)
+@pytest.mark.parametrize("family", RANK_TABLES)
+def test_ranks_equal_the_tuple_key_sort(family, aggregator, order):
+    s = RANK_TABLES[family]()
+    report = decide_single(s, DecisionConfig(aggregator=aggregator, ranking_order=order))
+    m = [r.apfdv.m for r in report.rows]
+    n = [r.apfdv.n for r in report.rows]
+    assert [r.alternative for r in report.rows] == list(s.universe)
+    assert [r.rank for r in report.rows] == reference_ranks(s.universe, m, n, order)
+
+
+def test_identical_rows_rank_in_python_string_order():
+    for aggregator in Aggregator:
+        for order in ORDERS:
+            report = decide_single(_tied_table(), DecisionConfig(aggregator=aggregator, ranking_order=order))
+            assert report.ranking() == tuple(sorted(TIED_IDS)) == ("A", "a", "a\x00", "b10", "b9", "é")
+
+
+def test_zero_primary_family_meets_both_signed_zeros():
+    # Under the membership order the geometric primary key column holds both
+    # 0.0 and -0.0, so the family exercises -0.0 == 0.0 in the sort.
+    report = decide_single(_zero_table(), DecisionConfig(ranking_order=OrderKind.MEMBERSHIP_THEN_ES))
+    m = np.array([r.apfdv.m for r in report.rows])
+    n = np.array([r.apfdv.n for r in report.rows])
+    primary = order_key(OrderKind.MEMBERSHIP_THEN_ES, m, n)[0]
+    zeros = primary[primary == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+def test_row_contract(table1, table2):
+    report = decide(table1, table2)
+    assert repr(report.rows[0]) == (
+        "AlternativeMeasures(alternative='p1', apfdv=PFN(m=0.5171757691341456, n=0.643566361370471), "
+        "es=0.4266465573459337, sf=-0.14670688530813253, af=0.6816484376671228, rank=3)"
+    )
+    assert AlternativeMeasures.__match_args__ == ("alternative", "apfdv", "es", "sf", "af", "rank")
+    row = report.rows[0]
+    for name in AlternativeMeasures.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(row, name, getattr(row, name))
+    again = decide(table1, table2).rows[0]
+    assert again is not row
+    assert again == row and hash(again) == hash(row)
+    assert report.rows[1] != row
