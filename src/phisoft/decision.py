@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
+from typing import NamedTuple
+
+import numpy as np
 
 from .aggregation import Aggregator, WeightVector, importance_weights, pfwa_table
 from .errors import InvalidConfig
@@ -54,8 +58,7 @@ class DecisionConfig:
             raise InvalidConfig("ranking_order: needs a total order, not the lattice order")
 
 
-@dataclass(frozen=True, slots=True)
-class AlternativeMeasures:
+class AlternativeMeasures(NamedTuple):
     """One report row: the aggregated value and its derived measures."""
 
     alternative: str
@@ -90,7 +93,7 @@ class DecisionReport:
         return tuple(r.alternative for r in sorted(self.rows, key=lambda r: r.rank))
 
     def optimal(self) -> str:
-        return self.ranking()[0]
+        return min(self.rows, key=lambda r: r.rank).alternative
 
 
 def decide(
@@ -114,13 +117,14 @@ def decide_single(
     sf, af = mm - nn, mm + nn
     es = (sf + 1.0) / 2.0
     primary, tiebreak = order_key(config.ranking_order, m, n)
-    # descending key, then larger membership, then alternative id ascending
-    keys = list(zip((-primary).tolist(), (-tiebreak).tolist(), (-m).tolist(), softset.universe))
-    ranks = [0] * len(keys)
-    for rank, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__), 1):
-        ranks[i] = rank
+    # descending key, then larger membership, then alternative id ascending;
+    # ids[i] is universe[i]'s place in Python's string order
+    universe, count = softset.universe, len(softset.universe)
+    ids, ranks = np.empty(count, np.intp), np.empty(count, np.intp)
+    ids[sorted(range(count), key=universe.__getitem__)] = np.arange(count)
+    ranks[np.lexsort((ids, -m, -tiebreak, -primary))] = np.arange(1, count + 1)
     apfdvs = map(PFN, m.tolist(), n.tolist())
-    rows = tuple(map(
-        AlternativeMeasures, softset.universe, apfdvs, es.tolist(), sf.tolist(), af.tolist(), ranks
-    ))
+    # tuple.__new__ skips the generated __new__'s per-row argument binding
+    columns = zip(universe, apfdvs, es.tolist(), sf.tolist(), af.tolist(), ranks.tolist())
+    rows = tuple(map(tuple.__new__, repeat(AlternativeMeasures), columns))
     return DecisionReport(rows=rows, weights=weights, combined=softset, config=config)
