@@ -266,9 +266,10 @@ def geometric_closed_form_matches_fold(rng, cases: int) -> LawResult:
 
 # The set suites check 2 x 2 sets, every case at once.  The cases' tables
 # are stacked, (cases, 3, 2) per component, and go through softset's own
-# lattice kernels (looked up at call time), aligned as `is_subset`, `equals`
-# and `_combine` align two sets.  Case 0 and the first failing case are then
-# built and checked through the public API, which words the counterexample.
+# lattice kernels (looked up at call time), laid out by the same
+# `softset._layout` that aligns two sets for `is_subset`, `equals` and
+# `_combine`.  Case 0 and the first failing case are then built and checked
+# through the public API, which words the counterexample.
 _UNIVERSE = ("a1", "a2")
 _NAMES = ("c1", "c2")
 _POOL = len(_NAMES) * (1 + len(_UNIVERSE))
@@ -342,7 +343,8 @@ def combination_identities(rng, cases: int) -> LawResult:
     x = _checked(*_stack(_sample_points(rng, _POOL * cases), _FROM_POOL))
     lo, hi = (null.table_m, null.table_n), (whole.table_m, whole.table_n)
     # x, null and whole list the same alternatives and parameters in the same
-    # order, so every operator takes `_combine`'s whole-table path.
+    # order, so `_combine` pairs each column of its first operand with the
+    # same column of its second: the kernels on whole tables are what it computes.
     join, meet, close = softset._join, softset._meet, softset._close
     ok = close(*join(*x, *x), *x) & close(*meet(*x, *x), *x)
     ok &= close(*join(*x, *lo), *x) & close(*meet(*x, *lo), *lo)
@@ -399,8 +401,8 @@ def subset_is_transitive_and_antisymmetric(rng, cases: int) -> LawResult:
     b, a, c = _chain(rng, cases)
     b0 = _case(*b, 0)
     p0 = _permuted(b0)
-    p = softset._aligned(p0, b0, b)  # the permuted tables, and b aligned to them
-    p_as_b = softset._aligned(b0, p0, p)
+    p = softset._layout(b0, p0.universe, p0.parameter_names, b)  # the permuted tables
+    p_as_b = softset._layout(p0, b0.universe, b0.parameter_names, p)
     dominated, close = softset._dominated, softset._close
     ok = dominated(*a, *b) & dominated(*b, *c) & dominated(*a, *c)
     ok &= dominated(*b, *p_as_b) & dominated(*p, *p) & close(*b, *p_as_b)

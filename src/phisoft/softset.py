@@ -240,74 +240,35 @@ def build(
         raise MissingCell(f"unexpected cells outside the table: {extras[:5]}")
     values += importances
 
-    ms, ns = [], []
-    all_pfns = True  # PFNs are valid by construction
+    values = [(v.m, v.n) if isinstance(v, PFN) else v for v in values]
     try:
-        for value in values:
-            if isinstance(value, PFN):
-                ms.append(value.m)
-                ns.append(value.n)
-                continue
-            all_pfns = False
-            m, n = value
-            ms.append(m)
-            ns.append(n)
-        if not all_pfns:
-            ms, ns = list(map(float, ms)), list(map(float, ns))
+        ms, ns = [float(m) for m, _ in values], [float(n) for _, n in values]
     except (TypeError, ValueError):  # an entry is not a pair of numbers
         for k, value in enumerate(values):
-            if not isinstance(value, PFN):
-                _reject(value, alts, names, *divmod(k, len(names)))
+            _reject(value, alts, names, *divmod(k, len(names)))
         raise
     shape = (len(alts) + 1, len(names))
     m = np.array(ms, dtype=np.float64).reshape(shape)
     n = np.array(ns, dtype=np.float64).reshape(shape)
-    if not all_pfns:
-        check_cells(m, n, alts, names)
+    check_cells(m, n, alts, names)
     return PhiSoftSet(alts, names, m, n)
 
 
-def _same_universe(a: PhiSoftSet, b: PhiSoftSet) -> bool:
-    return a.universe == b.universe or set(a.universe) == set(b.universe)
+def _layout(s: PhiSoftSet, universe, names, tables=None) -> tuple[np.ndarray, np.ndarray]:
+    """s's (m, n) tables, or stacks of `tables` laid out as s's, with rows in
+    `universe` order (importance row last) and columns in `names` order.  The
+    last two axes are gathered, so a stack of tables lays out alike.
 
-
-def _rows(universe: tuple[str, ...], b: PhiSoftSet) -> list[int] | None:
-    """b's table rows in this universe's order, importance row last; None if
-    b lists the alternatives in this order."""
-    if universe == b.universe:
-        return None
-    rows = b._lookup()[0]
-    return [rows[alt] for alt in universe] + [len(universe)]
-
-
-def _columns(names: tuple[str, ...], b: PhiSoftSet) -> list[int] | None:
-    """b's column of each parameter name, or None if b lists them in this
-    order.  Raises KeyError for a name b lacks."""
-    if names == b.parameter_names:
-        return None
-    cols = b._lookup()[1]
-    return [cols[name] for name in names]
-
-
-def _gather(values: np.ndarray, rows, cols) -> np.ndarray:
-    """`values` restricted to the given rows and columns (the last two axes,
-    so a stack of tables gathers alike); None keeps all."""
-    if rows is not None:
-        values = values.take(rows, axis=-2)
-    if cols is not None:
-        values = values.take(cols, axis=-1)
-    return values
-
-
-def _aligned(a: PhiSoftSet, b: PhiSoftSet, tables=None) -> tuple[np.ndarray, np.ndarray]:
-    """b's (m, n) tables, or stacks of `tables` laid out as b's, in a's row
-    and column order (the universes must match).
-
-    Raises KeyError for a parameter name of a that b lacks.
+    Raises KeyError unless `universe` lists s's alternatives, in any order,
+    or for a name s lacks.
     """
-    rows, cols = _rows(a.universe, b), _columns(a.parameter_names, b)
-    bm, bn = tables or (b.table_m, b.table_n)
-    return _gather(bm, rows, cols), _gather(bn, rows, cols)
+    row_of, col_of = s._lookup()
+    if len(universe) != len(row_of):
+        raise KeyError("the universes differ")
+    rows = [row_of[alt] for alt in universe] + [len(row_of)]
+    cols = [col_of[name] for name in names]
+    m, n = tables or (s.table_m, s.table_n)
+    return m.take(rows, axis=-2).take(cols, axis=-1), n.take(rows, axis=-2).take(cols, axis=-1)
 
 
 # The lattice kernels.  Each takes the (m, n) tables of a and of b, aligned,
@@ -342,10 +303,8 @@ def is_subset(a: PhiSoftSet, b: PhiSoftSet) -> bool:
     `b`, and every importance and cell of `a` lattice-dominated by the
     matching one of `b`.
     """
-    if not _same_universe(a, b):
-        return False
     try:
-        bm, bn = _aligned(a, b)
+        bm, bn = _layout(b, a.universe, a.parameter_names)
     except KeyError:
         return False
     return bool(_dominated(a.table_m, a.table_n, bm, bn))
@@ -357,40 +316,38 @@ def equals(a: PhiSoftSet, b: PhiSoftSet) -> bool:
     Components are compared within COMPARE_EPS; callers needing bit
     equality should compare fields directly.
     """
-    if not _same_universe(a, b) or set(a.parameter_names) != set(b.parameter_names):
+    if len(a.parameter_names) != len(b.parameter_names):
         return False
-    return bool(_close(a.table_m, a.table_n, *_aligned(a, b)))
+    try:
+        bm, bn = _layout(b, a.universe, a.parameter_names)
+    except KeyError:
+        return False
+    return bool(_close(a.table_m, a.table_n, bm, bn))
 
 
 def _combine(a: PhiSoftSet, b: PhiSoftSet, union: bool, extended: bool) -> PhiSoftSet:
-    if not _same_universe(a, b):
+    try:
+        bm, bn = _layout(b, a.universe, b.parameter_names)
+    except KeyError:
         raise UniverseMismatch(
             f"universes differ: {sorted(a.universe)} vs {sorted(b.universe)}"
-        )
-    # Join and meet of valid PFNs are valid, so the result needs no checks.
-    lattice = _join if union else _meet
-    if not extended and not set(a.parameter_names) & set(b.parameter_names):
-        raise EmptyIntersection("the parameter sets share no name")
-    rows = _rows(a.universe, b)
-    if a.parameter_names == b.parameter_names:
-        bm, bn = _gather(b.table_m, rows, None), _gather(b.table_n, rows, None)
-        return PhiSoftSet(a.universe, a.parameter_names, *lattice(a.table_m, a.table_n, bm, bn))
-
+        ) from None
     a_cols, b_cols = a._lookup()[1], b._lookup()[1]
     names = [name for name in a.parameter_names if extended or name in b_cols]
-    shared = [j for j, name in enumerate(names) if name in b_cols]  # result columns...
-    theirs = [b_cols[names[j]] for j in shared]  # ...and their columns in b
-    keep = [a_cols[name] for name in names]
-    m, n = a.table_m[:, keep], a.table_n[:, keep]
-    if shared:
-        bm, bn = _gather(b.table_m, rows, theirs), _gather(b.table_n, rows, theirs)
-        m[:, shared], n[:, shared] = lattice(m[:, shared], n[:, shared], bm, bn)
-    extra = [k for k, name in enumerate(b.parameter_names) if name not in a_cols]
-    if extended and extra:
-        names += [b.parameter_names[k] for k in extra]
-        m = np.concatenate([m, _gather(b.table_m, rows, extra)], axis=1)
-        n = np.concatenate([n, _gather(b.table_n, rows, extra)], axis=1)
-    return PhiSoftSet(a.universe, tuple(names), m, n)
+    if not (extended or names):
+        raise EmptyIntersection("the parameter sets share no name")
+    names += [name for name in b.parameter_names if extended and name not in a_cols]
+    # a's columns, then b's.  For a name one side lacks, that side takes the
+    # other side's column: the join or meet of a column with itself is the
+    # column bit for bit, so unshared entries are copied, signed zeros too.
+    wide = len(a_cols)
+    of_a = [a_cols[name] if name in a_cols else wide + b_cols[name] for name in names]
+    of_b = [wide + b_cols[name] if name in b_cols else a_cols[name] for name in names]
+    tables = np.hstack([a.table_m, bm]), np.hstack([a.table_n, bn])
+    a_side, b_side = ([t.take(cols, axis=1) for t in tables] for cols in (of_a, of_b))
+    # Join and meet of valid PFNs are valid, so the result needs no checks.
+    lattice = _join if union else _meet
+    return PhiSoftSet(a.universe, tuple(names), *lattice(*a_side, *b_side))
 
 
 def extended_union(a: PhiSoftSet, b: PhiSoftSet) -> PhiSoftSet:

@@ -84,6 +84,14 @@ class TestBuild:
         with pytest.raises(InvalidPFN, match=r"\(p1, s1\)"):
             build(["p1"], [("s1", (0.5, 0.4))], {("p1", "s1"): (0.9, 0.9)})
 
+    @pytest.mark.parametrize("bad", [(0.4,), (0.9, 0.9)], ids=["one-tuple", "out-of-disk"])
+    def test_one_bad_pair_among_pfns_is_named(self, bad):
+        cells = {(alt, name): PFN(0.5, 0.5) for alt in ("p1", "p2") for name in ("s1", "s2")}
+        cells["p2", "s1"] = bad
+        params = [("s1", PFN(0.5, 0.4)), ("s2", PFN(0.3, 0.6))]
+        with pytest.raises(InvalidPFN, match=r"^cell \(p2, s1\): "):
+            build(["p1", "p2"], params, cells)
+
     def test_unexpected_cell_rejected(self):
         with pytest.raises(MissingCell, match="unexpected"):
             build(["p1"], [("s1", (0.5, 0.4))], {
@@ -262,6 +270,49 @@ class TestCombinations:
                 assert got.parameter(name) == want.parameter(name)
                 for alt in UNIVERSE:
                     assert got.cell(alt, name) == want.cell(alt, name), (op, alt, name)
+
+    def test_bytes_do_not_depend_on_the_layout_of_b(self):
+        """Signed zeros survive every operator whatever order b lists its
+        alternatives and parameters in: shared entries are a's op b's, with
+        a's first, and unshared columns are byte copies of their source."""
+        rng = np.random.default_rng(11)
+        universe = ("u1", "u2", "u3", "u4")
+        a_names, b_names = ("c1", "c2", "c3"), ("c2", "c4", "c1")  # c3 is a's, c4 b's
+        shape = (len(universe) + 1, 3)
+        pool = np.array([-0.0, 0.0, 0.3, 0.6])
+        am, an, bm, bn = (rng.choice(pool, size=shape) for _ in range(4))
+        # every unshared column holds -0.0 in both components, in a cell and
+        # in the importance row; shared c1/c2 entries have opposite signs
+        am[[0, -1], 2] = an[[1, -1], 2] = bm[[2, -1], 1] = bn[[0, -1], 1] = -0.0
+        am[0, 0], bm[0, 2], an[1, 0], bn[1, 2] = -0.0, 0.0, 0.0, -0.0
+        am[2, 1], bm[2, 0], an[3, 1], bn[3, 0] = 0.0, -0.0, -0.0, 0.0
+        am[-1, 0], bm[-1, 2], an[-1, 1], bn[-1, 0] = -0.0, 0.0, 0.0, -0.0
+
+        def table(names, m, n, order=slice(None)):
+            alts, columns = universe[order], list(enumerate(names))[order]
+            rows = list(range(len(universe)))[order]
+            params = [(name, (m[-1, j], n[-1, j])) for j, name in columns]
+            cells = {(universe[i], name): (m[i, j], n[i, j]) for i in rows for j, name in columns}
+            return build(alts, params, cells)
+
+        a, b = table(a_names, am, an), table(b_names, bm, bn)
+        flipped = table(b_names, bm, bn, slice(None, None, -1))
+        assert flipped.universe == universe[::-1] and flipped.parameter_names == b_names[::-1]
+
+        def column(s, name):
+            j = s.parameter_names.index(name)
+            return s.table_m[:, j].tobytes(), s.table_n[:, j].tobytes()
+
+        ops = (extended_union, extended_intersection, restricted_union, restricted_intersection)
+        for op in ops:
+            want, got = op(a, b), op(a, flipped)
+            assert got.universe == want.universe == universe
+            assert set(got.parameter_names) == set(want.parameter_names)
+            for name in want.parameter_names:
+                assert column(got, name) == column(want, name), (op.__name__, name)
+            for name in set(want.parameter_names) - {"c1", "c2"}:
+                source = a if name in a_names else b
+                assert column(want, name) == column(source, name), (op.__name__, name)
 
     def test_universe_mismatch(self, table1):
         other = build(["q1"], TABLE1_PARAMS, {
