@@ -85,9 +85,15 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
+def _fsums(terms: np.ndarray):
+    """The `math.fsum` of each row of `terms`, lazily.  zip hands the rows
+    out as one tuple that it reuses; `.tolist()` would make a list per row."""
+    return map(math.fsum, zip(*terms.T.tolist()))
+
+
 def _row_sums(terms: np.ndarray) -> np.ndarray:
     """The `math.fsum` of each row of `terms`."""
-    return np.fromiter(map(math.fsum, terms.tolist()), np.float64, len(terms))
+    return np.fromiter(_fsums(terms), np.float64, len(terms))
 
 
 def _exp_log_sums(exp, log, x: np.ndarray, pole: float, w: np.ndarray) -> np.ndarray:
@@ -96,21 +102,26 @@ def _exp_log_sums(exp, log, x: np.ndarray, pole: float, w: np.ndarray) -> np.nda
     at_pole = x == pole
     terms = _libm(log, np.where(at_pole, 1.0, x))
     terms[at_pole] = -math.inf
-    return np.fromiter(map(exp, map(math.fsum, (terms * w).tolist())), np.float64, len(x))
+    return np.fromiter(map(exp, _fsums(terms * w)), np.float64, len(x))
 
 
 def pfwa_table(
-    m: np.ndarray, n: np.ndarray, weights: WeightVector, aggregator: Aggregator
+    m: np.ndarray, n: np.ndarray, weights: Sequence[float] | np.ndarray, aggregator: Aggregator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The aggregated (m, n) columns of the A x P table of PFNs (m, n): row i
-    is `pfwa_geometric` (or `pfwa_linear`) of row i.  Each is the `math.fsum`
-    of one term per weighted parameter, so the column order cannot change a
-    bit.  log1p, log, expm1 and exp are `math`'s, because numpy's differ in the
+    is `pfwa_geometric` (or `pfwa_linear`) of row i.  `weights` is a sequence
+    of P weights for every row, or an A x P numpy array, one weight row each.
+    A column whose weight is 0 in every row is dropped; a 0 in any other
+    column raises DegenerateWeights.  Each result is the `math.fsum` of one
+    term per weighted parameter, so the column order cannot change a bit.
+    log1p, log, expm1 and exp are `math`'s, because numpy's differ in the
     last bit on a few percent of inputs, and per CPU; the rest runs in numpy."""
-    w = np.array(weights.values)
-    if 0.0 in weights.values:
-        keep = w != 0.0
-        m, n, w = m[:, keep], n[:, keep], w[keep]
+    w = np.asarray(weights, np.float64)
+    if 0.0 in weights:  # cheap on a one-row tuple; on an array it tests every entry
+        keep = w.reshape(-1, w.shape[-1]).any(axis=0)
+        m, n, w = m[:, keep], n[:, keep], w[..., keep]
+        if not w.all():
+            raise DegenerateWeights("a zero weight in a column that other rows weight")
     if aggregator is Aggregator.LINEAR:
         # The weights may sum to 1 + ulp, which lifts a row of ones above 1.
         return np.minimum(_row_sums(m * w), 1.0), np.minimum(_row_sums(n * w), 1.0)
@@ -122,7 +133,7 @@ def _pfwa(values: Sequence[PFN], weights: WeightVector, aggregator: Aggregator) 
     """`pfwa_table` of the values as a one-row table."""
     _check_lengths(values, weights)
     m, n = np.array([[v.m for v in values]]), np.array([[v.n for v in values]])
-    m, n = pfwa_table(m, n, weights, aggregator)
+    m, n = pfwa_table(m, n, weights.values, aggregator)
     return PFN(m.item(), n.item())
 
 

@@ -110,7 +110,7 @@ def decide_single(
     """Aggregate and rank one already-combined soft set (skips step 2)."""
     config = config or DecisionConfig()
     weights = importance_weights(softset.table_m[-1], softset.table_n[-1])
-    m, n = pfwa_table(softset.m, softset.n, weights, config.aggregator)
+    m, n = pfwa_table(softset.m, softset.n, weights.values, config.aggregator)
     # The measures and sort keys are columns; each rounds exactly as
     # `score`, `accuracy`, `expectation_score` and `order_key` do per PFN.
     mm, nn = m * m, n * n

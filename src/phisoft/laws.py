@@ -14,8 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from . import softset
-from .aggregation import WeightVector, pfwa_fold, pfwa_geometric
+from . import aggregation, softset
+from .aggregation import Aggregator, WeightVector, pfwa_fold, pfwa_geometric
 from .pfn import (
     COMPARE_EPS, VALIDITY_EPS, PFN, OrderKind, Ordering, accuracy, add_p, compare, complement,
     expectation_score, join, meet, mul_p, order_key, power, scalar_mul, score,
@@ -245,23 +245,47 @@ def scaling_preserves_order(rng, cases: int) -> LawResult:
     return LawResult(name, cases)
 
 
+def _geometric_case(mn: np.ndarray, w: np.ndarray, k: int):
+    """The first k entries of one row of the geometric suite's tables, as
+    the values and weights they stand for."""
+    return list(map(PFN, *mn[:k].T.tolist())), WeightVector(tuple(w[:k].tolist()))
+
+
 def geometric_closed_form_matches_fold(rng, cases: int) -> LawResult:
-    """Closed-form weighted averaging equals the constructive add_p fold."""
-    name = "geometric-closed-form-matches-fold"
-    for _ in range(cases):
-        k = int(rng.integers(1, 9))
-        values = _sample_pfns(rng, k)
-        raw = rng.uniform(1e-3, 1.0, k)
-        weights = WeightVector(tuple(float(w) for w in raw / raw.sum()))
-        closed = pfwa_geometric(values, weights)
-        folded = pfwa_fold(values, weights)
+    """Closed-form weighted averaging equals the constructive add_p fold.
+
+    Case i is k[i] <= 8 PFNs and weights, in row i of (cases, 8) tables.
+    Every case's closed form runs through `aggregation.pfwa_table` (looked
+    up at call time), one call per k, and every case is folded; case 0 and
+    the first failing case are then checked again through `pfwa_geometric`,
+    which words the counterexample.
+    """
+    mn, w = np.zeros((cases, 8, 2)), np.zeros((cases, 8))
+    k = np.empty(cases, np.intp)
+    for i in range(cases):
+        k[i] = size = int(rng.integers(1, 9))
+        mn[i, :size] = _sample_points(rng, size)
+        raw = rng.uniform(1e-3, 1.0, size)
+        w[i, :size] = raw / raw.sum()
+    closed_m, closed_n, folded_m, folded_n = np.empty((4, cases))
+    for size in range(1, 9):
+        sel = k == size
+        closed_m[sel], closed_n[sel] = aggregation.pfwa_table(
+            mn[sel, :size, 0], mn[sel, :size, 1], w[sel, :size], Aggregator.GEOMETRIC
+        )
+    for i, size in enumerate(k.tolist()):  # row by row, which keeps the peak memory down
+        folded = pfwa_fold(*_geometric_case(mn[i], w[i], size))
+        folded_m[i], folded_n[i] = folded.m, folded.n
+    failed = (abs(closed_m - folded_m) > 1e-9) | (abs(closed_n - folded_n) > 1e-9)
+
+    def replay(i: int) -> str | None:
+        values, weights = _geometric_case(mn[i], w[i], int(k[i]))
+        closed, folded = pfwa_geometric(values, weights), pfwa_fold(values, weights)
         if abs(closed.m - folded.m) > 1e-9 or abs(closed.n - folded.n) > 1e-9:
-            return LawResult(
-                name,
-                cases,
-                f"values={values!r} weights={weights.values!r} {_diff(closed, folded)}",
-            )
-    return LawResult(name, cases)
+            return f"values={values!r} weights={weights.values!r} {_diff(closed, folded)}"
+        return None
+
+    return _replayed("geometric-closed-form-matches-fold", cases, failed, replay)
 
 
 # The set suites check 2 x 2 sets, every case at once.  The cases' tables

@@ -1,5 +1,6 @@
 """Weight derivation and the two weighted-averaging operators."""
 
+import gc
 import math
 
 import numpy as np
@@ -358,3 +359,72 @@ class TestTableKernel:
         report = decide_single(s, DecisionConfig(aggregator=Aggregator.LINEAR))
         assert report.row("p1").apfdv == PFN(0.0, 1.0)
         assert report.row("p2").apfdv == PFN(1.0, 0.0)
+
+
+def positive_weight_rows(rng, rows, cols):
+    """One WeightVector per row, every weight positive."""
+    raw = rng.uniform(1e-3, 1.0, (rows, cols))
+    return [WeightVector(tuple((r / r.sum()).tolist())) for r in raw]
+
+
+OPERATORS = {Aggregator.GEOMETRIC: pfwa_geometric, Aggregator.LINEAR: pfwa_linear}
+
+
+class TestPerRowWeights:
+    """`pfwa_table` takes one weight row for the table or one per table row."""
+
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    def test_a_repeated_row_is_the_one_row_call(self, aggregator):
+        rng = np.random.default_rng(35)
+        for rows, cols in ((1, 1), (7, 2), (120, 9)):
+            m, n, zero_first = edge_table(rng, rows, cols)
+            for w in (zero_first, positive_weight_rows(rng, 1, cols)[0]):
+                one = pfwa_table(m, n, w.values, aggregator)
+                each = pfwa_table(m, n, np.tile(w.values, (rows, 1)), aggregator)
+                assert each[0].tobytes() == one[0].tobytes()
+                assert each[1].tobytes() == one[1].tobytes()
+
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    def test_each_row_is_its_own_one_row_call(self, aggregator):
+        rng = np.random.default_rng(36)
+        m, n, _ = edge_table(rng, 150, 6)
+        rows = positive_weight_rows(rng, 150, 6)
+        got_m, got_n = pfwa_table(m, n, np.array([w.values for w in rows]), aggregator)
+        for i, w in enumerate(rows):
+            one = OPERATORS[aggregator](list(map(PFN, m[i].tolist(), n[i].tolist())), w)
+            assert np.array([got_m[i], got_n[i]]).tobytes() == np.array([one.m, one.n]).tobytes()
+
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    def test_a_zero_in_a_weighted_column_raises(self, aggregator):
+        rng = np.random.default_rng(37)
+        m, n, _ = edge_table(rng, 4, 3)
+        w = np.array([r.values for r in positive_weight_rows(rng, 4, 3)])
+        w[:, 0] = 0.0  # zero in every row: the column is dropped
+        pfwa_table(m, n, w, aggregator)
+        w[2, 1] = 0.0  # zero in one row of a column the others weight
+        with pytest.raises(DegenerateWeights, match="zero weight"):
+            pfwa_table(m, n, w, aggregator)
+
+
+@pytest.mark.parametrize("aggregator", list(Aggregator))
+def test_rows_are_summed_without_a_list_per_row(aggregator):
+    """A list per row made a 20000 x 8 call run dozens of cyclic collections."""
+    rng = np.random.default_rng(7)
+    radius, angle = np.sqrt(rng.random((20000, 8))), rng.random((20000, 8)) * (math.pi / 2)
+    m, n = radius * np.cos(angle), radius * np.sin(angle)
+    w = positive_weight_rows(rng, 1, 8)[0].values
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    gc.callbacks.append(count)
+    try:
+        pfwa_table(m, n, w, aggregator)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert len(started) <= 5

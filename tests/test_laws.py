@@ -11,6 +11,8 @@ import pytest
 from phisoft import (
     PFN,
     PFParameter,
+    WeightVector,
+    aggregation,
     build,
     equals,
     extended_intersection,
@@ -329,3 +331,92 @@ class TestBatchedSetSuites:
         result = laws._replayed("demo-law", 4, failed, lambda i: None)
         assert result.counterexample == "case 2 fails in the batched check only"
         assert laws._replayed("demo-law", 4, np.zeros(4, bool), lambda i: None).ok
+
+
+# --- the batched geometric suite against its per-case reference ------------
+
+
+def reference_geometric_suite(rng, cases):
+    """The per-case loop the batched suite replaced: (index, counterexample)
+    of the first failing case, or (None, None).  It stops drawing there."""
+    for i in range(cases):
+        k = int(rng.integers(1, 9))
+        values = laws._sample_pfns(rng, k)
+        raw = rng.uniform(1e-3, 1.0, k)
+        weights = WeightVector(tuple(float(w) for w in raw / raw.sum()))
+        closed = laws.pfwa_geometric(values, weights)
+        folded = laws.pfwa_fold(values, weights)
+        if abs(closed.m - folded.m) > 1e-9 or abs(closed.n - folded.n) > 1e-9:
+            return i, f"values={values!r} weights={weights.values!r} {laws._diff(closed, folded)}"
+    return None, None
+
+
+def _row_hit(m, n):
+    """Rows of (m, n) whose entries hash to 0 mod 13.  The hash is an exact
+    integer sum over the row, the same for a row alone and inside a stack."""
+    key = (m * 2**20).astype(np.int64) + 3 * (n * 2**20).astype(np.int64)
+    return key.sum(axis=-1) % 13 == 0
+
+
+class TestBatchedGeometricSuite:
+    suite = staticmethod(laws.geometric_closed_form_matches_fold)
+
+    def _against_reference(self, seed, cases):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        result = self.suite(rng, cases)
+        index, counterexample = reference_geometric_suite(ref_rng, cases)
+        assert result.cases == cases
+        if index is None:  # the reference stops drawing at its first failure
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return result, index, counterexample
+
+    @pytest.mark.parametrize("seed", [0, 9, 31, 2024])
+    def test_same_verdict_and_draws_as_the_reference(self, seed):
+        result, index, counterexample = self._against_reference(seed, 400)
+        assert result.ok and index is None
+
+    def test_the_closed_form_is_batched(self, monkeypatch):
+        calls = {"pfwa_table": 0, "pfwa_geometric": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name, module in (("pfwa_table", aggregation), ("pfwa_geometric", laws)):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert self.suite(np.random.default_rng(3), 500).ok
+        # at most 8 batch calls, then case 0's replay through pfwa_geometric
+        assert calls == {"pfwa_table": 8 + 1, "pfwa_geometric": 1}
+
+    def test_a_kernel_fault_on_some_rows_is_reported_alike(self, monkeypatch):
+        kernel = aggregation.pfwa_table
+
+        def nudged(m, n, weights, aggregator):
+            out_m, out_n = kernel(m, n, weights, aggregator)
+            return np.where(_row_hit(m, n), out_m * 0.5, out_m), out_n
+
+        monkeypatch.setattr(aggregation, "pfwa_table", nudged)
+        first = []
+        for seed in range(12):
+            result, index, counterexample = self._against_reference(seed, 200)
+            assert not result.ok and result.counterexample == counterexample
+            first.append(index)
+        assert max(first) > 0
+
+    def test_a_fold_fault_on_some_cases_is_reported_alike(self, monkeypatch):
+        fold = laws.pfwa_fold
+
+        def wrong(values, weights):
+            folded = fold(values, weights)
+            m, n = (np.array([[getattr(v, c) for v in values]]) for c in "mn")
+            return PFN(folded.m, folded.n * 0.5) if _row_hit(m, n)[0] else folded
+
+        monkeypatch.setattr(laws, "pfwa_fold", wrong)
+        first = []
+        for seed in range(12):
+            result, index, counterexample = self._against_reference(seed, 200)
+            assert not result.ok and result.counterexample == counterexample
+            first.append(index)
+        assert max(first) > 0
