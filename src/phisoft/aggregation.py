@@ -17,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DegenerateWeights, LengthMismatch
-from .pfn import PFN, add_p, scalar_mul
+from .pfn import PFN, PFNArray, _libm, add_p, expectation_score, scalar_mul
 from .softset import PFParameter
 
 #: Allowed deviation of a weight vector's sum from 1.
@@ -36,7 +36,7 @@ class WeightVector:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         object.__setattr__(self, "values", values)
         if not values:
             raise DegenerateWeights("weight vector may not be empty")
@@ -60,7 +60,7 @@ class WeightVector:
 def importance_weights(m: np.ndarray, n: np.ndarray) -> WeightVector:
     """The importances' (m, n) expectation scores, normalized; raises
     DegenerateWeights when every score is 0, or there are none."""
-    scores = (m * m - n * n + 1.0) / 2.0  # rounds as `expectation_score` does
+    scores = expectation_score(PFNArray(m, n))
     total = math.fsum(scores.tolist())
     if total <= 0.0:
         raise DegenerateWeights("all parameter importances have expectation score 0")
@@ -78,11 +78,6 @@ def _check_lengths(values: Sequence[PFN], weights: WeightVector) -> None:
         raise LengthMismatch(f"{len(values)} values vs {len(weights)} weights")
     if not values:
         raise LengthMismatch("need at least one value")
-
-
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """The `math` function `fn` of each entry of `x`."""
-    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 def _fsums(terms: np.ndarray):
@@ -161,7 +156,8 @@ def pfwa_fold(values: Sequence[PFN], weights: WeightVector) -> PFN:
     """Left fold of add_p over scalar multiples; the constructive route.
 
     Kept as an independent path for cross-checking pfwa_geometric.  All
-    weights must be positive (scalar_mul rejects 0).
+    weights must be positive (scalar_mul rejects 0).  Given PFNArrays, each
+    with a weight array of its shape, it folds every entry alike.
     """
     _check_lengths(values, weights)
     return reduce(add_p, (scalar_mul(w, v) for v, w in zip(values, weights)))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .aggregation import Aggregator, WeightVector, importance_weights, pfwa_table
 from .errors import InvalidConfig
-from .pfn import PFN, OrderKind, order_key
+from .pfn import PFN, OrderKind, PFNArray, accuracy, expectation_score, order_key, score
 from .softset import (
     PhiSoftSet,
     extended_intersection,
@@ -111,11 +111,8 @@ def decide_single(
     config = config or DecisionConfig()
     weights = importance_weights(softset.table_m[-1], softset.table_n[-1])
     m, n = pfwa_table(softset.m, softset.n, weights.values, config.aggregator)
-    # The measures and sort keys are columns; each rounds exactly as
-    # `score`, `accuracy`, `expectation_score` and `order_key` do per PFN.
-    mm, nn = m * m, n * n
-    sf, af = mm - nn, mm + nn
-    es = (sf + 1.0) / 2.0
+    x = PFNArray(m, n)
+    es, sf, af = expectation_score(x), score(x), accuracy(x)
     primary, tiebreak = order_key(config.ranking_order, m, n)
     # descending key, then larger membership, then alternative id ascending;
     # ids[i] is universe[i]'s place in Python's string order

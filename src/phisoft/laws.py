@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
 
 from . import aggregation, softset
 from .aggregation import Aggregator, WeightVector, pfwa_fold, pfwa_geometric
+from .errors import PhiSoftError
 from .pfn import (
-    COMPARE_EPS, VALIDITY_EPS, PFN, OrderKind, Ordering, accuracy, add_p, compare, complement,
-    expectation_score, join, meet, mul_p, order_key, power, scalar_mul, score,
+    COMPARE_EPS, PFN, OrderKind, PFNArray, accuracy, add_p, below, close as pfn_close, compare,
+    complement, expectation_score, join, meet, mul_p, order_key, power, scalar_mul, score, valid,
 )
 from .softset import (
     PhiSoftSet, build, equals, extended_intersection, extended_union, is_subset, null_set,
@@ -63,116 +65,131 @@ def _sample_alphas(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.exp(rng.uniform(math.log(0.05), math.log(4.0), count))
 
 
-def pfn_close(a: PFN, b: PFN) -> bool:
-    """Both components within COMPARE_EPS."""
-    return abs(a.m - b.m) <= COMPARE_EPS and abs(a.n - b.n) <= COMPARE_EPS
-
-
 def _diff(a: PFN, b: PFN) -> str:
     return f"left={a!r} right={b!r} dm={a.m - b.m:.3e} dn={a.n - b.n:.3e}"
 
 
-def closure_of_pfn_operations(rng: np.random.Generator, cases: int) -> LawResult:
-    """Every operation lands back inside the valid region."""
-    name = "closure-of-pfn-operations"
-    pairs = _sample_pfns(rng, 2 * cases)
-    alphas = _sample_alphas(rng, cases)
-    for i in range(cases):
-        a, b = pairs[2 * i], pairs[2 * i + 1]
-        alpha = float(alphas[i])
-        try:
-            results = (
-                complement(a),
-                join(a, b),
-                meet(a, b),
-                add_p(a, b),
-                mul_p(a, b),
-                scalar_mul(alpha, a),
-                power(a, alpha),
-            )
-        except Exception as exc:  # constructor rejected a result
-            return LawResult(name, cases, f"a={a!r} b={b!r} alpha={alpha!r}: {exc}")
-        for r in results:
-            if not (0.0 <= r.m <= 1.0 and 0.0 <= r.n <= 1.0) or (
-                r.m * r.m + r.n * r.n > 1.0 + VALIDITY_EPS
-            ):
-                return LawResult(name, cases, f"a={a!r} b={b!r} alpha={alpha!r} -> {r!r}")
-    return LawResult(name, cases)
-
-
-def _identity_suite(name: str, labels: tuple[str, ...], *sides):
-    """A suite that checks each side pair on every case (`pfn_close`).
-
-    A case is a PFN per label "a" or "b" and a scalar per other label,
-    drawn in that order; a side pair is (counterexample prefix, function of
-    the case that returns the two sides).
-    """
-    points = sum(label in ("a", "b") for label in labels)
-    alphas = len(labels) - points
+def _law(name: str, labels: tuple[str, ...], points: int, check):
+    """A suite that checks every case at once.  A case is a PFN for each of
+    the first `points` labels, then a scalar for each other label, drawn in
+    that order for all cases.  `check(*case)` yields (holds, word) pairs:
+    whether a law holds, and `word(shown)`, its counterexample given the case
+    as `label=value` text.  It runs on all cases as PFNArrays and arrays, then
+    (`_replayed`) on case 0 and the first failing case as PFNs and floats."""
+    scalars = len(labels) - points
 
     def law(rng, cases: int) -> LawResult:
-        pfns = _sample_pfns(rng, points * cases)
-        scalars = _sample_alphas(rng, alphas * cases).tolist() if alphas else []
-        for i in range(cases):
-            case = (*pfns[points * i : points * (i + 1)], *scalars[alphas * i : alphas * (i + 1)])
-            for prefix, sides_of in sides:
-                left, right = sides_of(*case)
-                if not pfn_close(left, right):
-                    shown = " ".join(f"{k}={v!r}" for k, v in zip(labels, case))
-                    return LawResult(name, cases, f"{prefix}{shown} {_diff(left, right)}")
-        return LawResult(name, cases)
+        drawn = _sample_points(rng, points * cases).reshape(cases, points, 2)
+        alphas = _sample_alphas(rng, scalars * cases).reshape(cases, scalars)
+        batch = (*(PFNArray(*p) for p in drawn.transpose(1, 2, 0)), *alphas.T)
+        ok = np.all([holds for holds, _ in check(*batch)], axis=0)
+
+        def replay(i: int) -> str | None:
+            case = (*map(PFN, *drawn[i].T.tolist()), *alphas[i].tolist())
+            shown = " ".join(f"{k}={v!r}" for k, v in zip(labels, case))
+            try:
+                return next((word(shown) for holds, word in check(*case) if not holds), None)
+            except PhiSoftError as exc:  # a result is not a valid PFN
+                return f"{shown}: {exc}"
+
+        return _replayed(name, cases, ~ok, replay)
 
     law.__name__ = law.__qualname__ = name.replace("-", "_")
+    law.__doc__ = check.__doc__
     return law
 
 
-_IDENTITY_SUITES = tuple(_identity_suite(*row) for row in (
-    ("addition-and-multiplication-commute", ("a", "b"),
-     ("add_p ", lambda a, b: (add_p(a, b), add_p(b, a))),
-     ("mul_p ", lambda a, b: (mul_p(a, b), mul_p(b, a)))),
-    ("scalar-distributes-over-addition", ("a", "b", "alpha"),
-     ("", lambda a, b, t: (
-         scalar_mul(t, add_p(a, b)), add_p(scalar_mul(t, a), scalar_mul(t, b))))),
-    ("scalar-multiples-add", ("a", "a1", "a2"),
-     ("", lambda a, s, t: (add_p(scalar_mul(s, a), scalar_mul(t, a)), scalar_mul(s + t, a)))),
-    ("power-distributes-over-product", ("a", "b", "alpha"),
-     ("", lambda a, b, t: (power(mul_p(a, b), t), mul_p(power(a, t), power(b, t))))),
-    ("powers-multiply", ("a", "a1", "a2"),
-     ("", lambda a, s, t: (mul_p(power(a, s), power(a, t)), power(a, s + t)))),
+@partial(_law, "closure-of-pfn-operations", ("a", "b", "alpha"), 2)
+def closure_of_pfn_operations(a, b, alpha):
+    """Every operation lands back inside the valid region."""
+    results = (
+        complement(a), join(a, b), meet(a, b), add_p(a, b), mul_p(a, b),
+        scalar_mul(alpha, a), power(a, alpha),
+    )
+    for r in results:
+        yield valid(r), lambda shown: f"{shown} -> {r!r}"
+
+
+def _same(left, right, prefix: str = ""):
+    """The (holds, word) pair of left == right by `pfn_close`, looked up at call time."""
+    return pfn_close(left, right), lambda shown: f"{prefix}{shown} {_diff(left, right)}"
+
+
+_IDENTITY_SUITES = tuple(_law(*row) for row in (
+    ("addition-and-multiplication-commute", ("a", "b"), 2, lambda a, b: (
+        _same(add_p(a, b), add_p(b, a), "add_p "), _same(mul_p(a, b), mul_p(b, a), "mul_p "))),
+    ("scalar-distributes-over-addition", ("a", "b", "alpha"), 2, lambda a, b, t: (
+        _same(scalar_mul(t, add_p(a, b)), add_p(scalar_mul(t, a), scalar_mul(t, b))),)),
+    ("scalar-multiples-add", ("a", "a1", "a2"), 1, lambda a, s, t: (
+        _same(add_p(scalar_mul(s, a), scalar_mul(t, a)), scalar_mul(s + t, a)),)),
+    ("power-distributes-over-product", ("a", "b", "alpha"), 2, lambda a, b, t: (
+        _same(power(mul_p(a, b), t), mul_p(power(a, t), power(b, t))),)),
+    ("powers-multiply", ("a", "a1", "a2"), 1, lambda a, s, t: (
+        _same(mul_p(power(a, s), power(a, t)), power(a, s + t)),)),
 ))
 
 
-def membership_then_es_is_partial_order(rng, cases: int) -> LawResult:
+# The order suites' checks run on PFNs and PFNArrays alike.  Their flags may be
+# Python bools, on which `~` is not negation, so p implies q is written p <= q.
+
+
+def _not_greater(a, b):
+    """Entrywise: compare(a, b, _M_ES) is not GREATER."""
+    return below(b, a, _M_ES) <= below(a, b, _M_ES)
+
+
+def _ordered(a, b):
+    """(a, b), swapped where compare(a, b, _M_ES) is GREATER, as a's kind."""
+    swap = below(a, b, _M_ES) < below(b, a, _M_ES)
+    m, n = np.where(swap, (b.m, a.m), (a.m, b.m)), np.where(swap, (b.n, a.n), (a.n, b.n))
+    return type(a)(m[0], n[0]), type(a)(m[1], n[1])
+
+
+def _by_key(*points):
+    """The points sorted by `order_key` (`_M_ES`), ties in the given order, as
+    `sorted` puts them, entry by entry."""
+    m, n = (np.stack([getattr(p, c) for p in points], -1) for c in "mn")
+    rank = np.lexsort(order_key(_M_ES, m, n)[::-1], axis=-1)
+    m, n = np.take_along_axis(m, rank, -1), np.take_along_axis(n, rank, -1)
+    return [type(points[0])(m[..., j], n[..., j]) for j in range(len(points))]
+
+
+@partial(_law, "membership-then-es-is-partial-order", ("x", "y", "z"), 3)
+def membership_then_es_is_partial_order(x, y, z):
     """Reflexive, antisymmetric, and transitive on random triples."""
-    name = "membership-then-es-is-partial-order"
-    triples = _sample_pfns(rng, 3 * cases)
-    for i in range(cases):
-        x, y, z = triples[3 * i : 3 * i + 3]
-        if compare(x, x, _M_ES) is not Ordering.EQUAL:
-            return LawResult(name, cases, f"not reflexive at x={x!r}")
-        for a, b in ((x, y), (y, z), (x, z)):
-            if compare(b, a, _M_ES) is not Ordering(-compare(a, b, _M_ES).value):
-                return LawResult(name, cases, f"not antisymmetric: a={a!r} b={b!r}")
-        lo, mid, hi = sorted((x, y, z), key=lambda p: order_key(_M_ES, p.m, p.n))
-        if (
-            compare(lo, mid, _M_ES) is Ordering.GREATER
-            or compare(mid, hi, _M_ES) is Ordering.GREATER
-            or compare(lo, hi, _M_ES) is Ordering.GREATER
-        ):
-            return LawResult(name, cases, f"not transitive on {x!r}, {y!r}, {z!r}")
-    return LawResult(name, cases)
+    yield below(x, x, _M_ES), lambda _: f"not reflexive at x={x!r}"
+    for a, b in ((x, y), (y, z), (x, z)):
+        # compare(b, a) is compare(a, b) reversed unless the pair is incomparable
+        comparable = below(a, b, _M_ES) | below(b, a, _M_ES)
+        yield comparable, lambda _: f"not antisymmetric: a={a!r} b={b!r}"
+    lo, mid, hi = _by_key(x, y, z)
+    transitive = _not_greater(lo, mid) & _not_greater(mid, hi) & _not_greater(lo, hi)
+    yield transitive, lambda _: f"not transitive on {x!r}, {y!r}, {z!r}"
 
 
-def score_accuracy_agrees_with_es_then_membership(rng, cases: int) -> LawResult:
-    name = "score-accuracy-agrees-with-es-then-membership"
-    pairs = _sample_pfns(rng, 2 * cases)
-    for i in range(cases):
-        a, b = pairs[2 * i], pairs[2 * i + 1]
-        left = compare(a, b, OrderKind.SCORE_ACCURACY)
-        right = compare(a, b, OrderKind.ES_THEN_MEMBERSHIP)
-        if left is not right:
-            return LawResult(name, cases, f"a={a!r} b={b!r} {left} vs {right}")
-    return LawResult(name, cases)
+@partial(_law, "score-accuracy-agrees-with-es-then-membership", ("a", "b"), 2)
+def score_accuracy_agrees_with_es_then_membership(a, b):
+    s, e = OrderKind.SCORE_ACCURACY, OrderKind.ES_THEN_MEMBERSHIP
+    agree = (below(a, b, s) == below(a, b, e)) & (below(b, a, s) == below(b, a, e))
+    yield agree, lambda _: f"a={a!r} b={b!r} {compare(a, b, s)} vs {compare(a, b, e)}"
+
+
+@partial(_law, "addition-preserves-order", ("M", "N", "K"), 3)
+def addition_preserves_order(m, n, k):
+    """N <= K implies M + N <= M + K under the membership-then-ES order."""
+    n, k = _ordered(n, k)
+    yield _not_greater(add_p(m, n), add_p(m, k)), lambda _: f"M={m!r} N={n!r} K={k!r}"
+
+
+@partial(_law, "scaling-preserves-order", ("a", "b", "alpha", "beta"), 2)
+def scaling_preserves_order(a, b, alpha, beta):
+    """Scaling keeps ordered pairs ordered; larger scalars dominate."""
+    a, b = _ordered(a, b)
+    yield (_not_greater(scalar_mul(alpha, a), scalar_mul(alpha, b)),
+           lambda _: f"a={a!r} b={b!r} alpha={alpha!r}")
+    a1, a2 = np.minimum(alpha, beta), np.maximum(alpha, beta)
+    yield (_not_greater(scalar_mul(a1, a), scalar_mul(a2, a)),
+           lambda _: f"a={a!r} a1={float(a1)!r} a2={float(a2)!r}")
 
 
 def _equal_score_pair(rng, base: PFN) -> PFN | None:
@@ -214,43 +231,6 @@ def equal_score_tiebreaks_agree(rng, cases: int) -> LawResult:
     return LawResult(name, cases)
 
 
-def addition_preserves_order(rng, cases: int) -> LawResult:
-    """N <= K implies M + N <= M + K under the membership-then-ES order."""
-    name = "addition-preserves-order"
-    triples = _sample_pfns(rng, 3 * cases)
-    for i in range(cases):
-        m, n, k = triples[3 * i : 3 * i + 3]
-        if compare(n, k, _M_ES) is Ordering.GREATER:
-            n, k = k, n
-        if compare(add_p(m, n), add_p(m, k), _M_ES) is Ordering.GREATER:
-            return LawResult(name, cases, f"M={m!r} N={n!r} K={k!r}")
-    return LawResult(name, cases)
-
-
-def scaling_preserves_order(rng, cases: int) -> LawResult:
-    """Scaling keeps ordered pairs ordered; larger scalars dominate."""
-    name = "scaling-preserves-order"
-    pairs = _sample_pfns(rng, 2 * cases)
-    alphas = _sample_alphas(rng, 2 * cases)
-    for i in range(cases):
-        a, b = pairs[2 * i], pairs[2 * i + 1]
-        if compare(a, b, _M_ES) is Ordering.GREATER:
-            a, b = b, a
-        alpha = float(alphas[2 * i])
-        if compare(scalar_mul(alpha, a), scalar_mul(alpha, b), _M_ES) is Ordering.GREATER:
-            return LawResult(name, cases, f"a={a!r} b={b!r} alpha={alpha!r}")
-        a1, a2 = sorted((alpha, float(alphas[2 * i + 1])))
-        if compare(scalar_mul(a1, a), scalar_mul(a2, a), _M_ES) is Ordering.GREATER:
-            return LawResult(name, cases, f"a={a!r} a1={a1!r} a2={a2!r}")
-    return LawResult(name, cases)
-
-
-def _geometric_case(mn: np.ndarray, w: np.ndarray, k: int):
-    """The first k entries of one row of the geometric suite's tables, as
-    the values and weights they stand for."""
-    return list(map(PFN, *mn[:k].T.tolist())), WeightVector(tuple(w[:k].tolist()))
-
-
 def geometric_closed_form_matches_fold(rng, cases: int) -> LawResult:
     """Closed-form weighted averaging equals the constructive add_p fold.
 
@@ -270,16 +250,14 @@ def geometric_closed_form_matches_fold(rng, cases: int) -> LawResult:
     closed_m, closed_n, folded_m, folded_n = np.empty((4, cases))
     for size in range(1, 9):
         sel = k == size
-        closed_m[sel], closed_n[sel] = aggregation.pfwa_table(
-            mn[sel, :size, 0], mn[sel, :size, 1], w[sel, :size], Aggregator.GEOMETRIC
-        )
-    for i, size in enumerate(k.tolist()):  # row by row, which keeps the peak memory down
-        folded = pfwa_fold(*_geometric_case(mn[i], w[i], size))
-        folded_m[i], folded_n[i] = folded.m, folded.n
+        m, n, weights = mn[sel, :size, 0], mn[sel, :size, 1], w[sel, :size]
+        closed_m[sel], closed_n[sel] = aggregation.pfwa_table(m, n, weights, Aggregator.GEOMETRIC)
+        folded_m[sel], folded_n[sel] = pfwa_fold(list(map(PFNArray, m.T, n.T)), weights.T)
     failed = (abs(closed_m - folded_m) > 1e-9) | (abs(closed_n - folded_n) > 1e-9)
 
     def replay(i: int) -> str | None:
-        values, weights = _geometric_case(mn[i], w[i], int(k[i]))
+        values = list(map(PFN, *mn[i, : k[i]].T.tolist()))
+        weights = WeightVector(tuple(w[i, : k[i]].tolist()))
         closed, folded = pfwa_geometric(values, weights), pfwa_fold(values, weights)
         if abs(closed.m - folded.m) > 1e-9 or abs(closed.n - folded.n) > 1e-9:
             return f"values={values!r} weights={weights.values!r} {_diff(closed, folded)}"
@@ -320,7 +298,7 @@ def _case(m: np.ndarray, n: np.ndarray, i: int) -> PhiSoftSet:
 def _checked(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked tables that pass `check_cells`' test; otherwise the first bad
     case is built, so `build` raises its located InvalidPFN."""
-    bad = ~softset._valid(m, n).all(axis=(-2, -1))
+    bad = ~valid(PFNArray(m, n)).all(axis=(-2, -1))
     if bad.any():
         _case(m, n, int(bad.argmax()))
     return m, n

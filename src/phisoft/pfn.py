@@ -5,7 +5,8 @@ a non-membership degree ``n``, both in [0, 1], constrained by
 ``m**2 + n**2 <= 1``.  This module provides the value type, the operation
 algebra (complement, lattice join/meet, the Pythagorean sum and product,
 scalar multiples and powers), the score / accuracy / expectation-score
-functions, and the comparison orders built from them.
+functions, and the comparison orders built from them.  Each takes one PFN,
+or whole arrays of them as a `PFNArray`, and gives the same bits per entry.
 
 All values are immutable and all operations are pure functions.
 """
@@ -15,6 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import NonPositiveScalar, NotPythagorean, OutOfRange, ParseError
 
@@ -54,6 +58,15 @@ class PFN:
             )
 
 
+class PFNArray(NamedTuple):
+    """PFNs entry by entry: (m, n) float arrays of one shape, not validated
+    (`valid` tells which entries are PFNs).  Every operation, order and
+    measure below takes PFNs or PFNArrays; an operation returns its kind."""
+
+    m: np.ndarray
+    n: np.ndarray
+
+
 class OrderKind(Enum):
     """Which comparison order `compare` applies.
 
@@ -80,76 +93,89 @@ def indeterminacy(x: PFN) -> float:
     return math.sqrt(max(0.0, 1.0 - x.m * x.m - x.n * x.n))
 
 
-def complement(x: PFN) -> PFN:
+def _of_kind(x, m, n):
+    """(m, n) as x's kind: a PFN of Python floats when x is a PFN, else a PFNArray."""
+    return type(x)(m, n)
+
+
+def _libm(fn, x: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """`fn`, a `math` function or `pow`, of each entry of `x` (and of `more`,
+    arrays of x's shape).  numpy's log1p, expm1 and power differ from libm's
+    in the last bit on a few percent of inputs, and per CPU."""
+    entries = [a.ravel().tolist() for a in more]
+    return np.fromiter(map(fn, x.ravel().tolist(), *entries), np.float64, x.size).reshape(x.shape)
+
+
+def complement(x: PFN | PFNArray) -> PFN | PFNArray:
     """Swap membership and non-membership; an involution."""
-    return PFN(x.n, x.m)
+    return _of_kind(x, x.n, x.m)
 
 
-def join(a: PFN, b: PFN) -> PFN:
-    """Lattice join: componentwise (max m, min n)."""
-    return PFN(max(a.m, b.m), min(a.n, b.n))
+def join(a: PFN | PFNArray, b: PFN | PFNArray) -> PFN | PFNArray:
+    """Lattice join: componentwise (max m, min n).  Where two components are
+    equal but for their sign (-0.0 and 0.0), the result takes b's."""
+    return _of_kind(a, np.maximum(a.m, b.m), np.minimum(a.n, b.n))
 
 
-def meet(a: PFN, b: PFN) -> PFN:
-    """Lattice meet: componentwise (min m, max n)."""
-    return PFN(min(a.m, b.m), max(a.n, b.n))
+def meet(a: PFN | PFNArray, b: PFN | PFNArray) -> PFN | PFNArray:
+    """Lattice meet: componentwise (min m, max n); on a signed-zero tie, b's."""
+    return _of_kind(a, np.minimum(a.m, b.m), np.maximum(a.n, b.n))
 
 
-def _sum_of_squares(xa: float, xb: float) -> float:
+def _sum_of_squares(xa, xb):
     """xa + xb - xa*xb for xa, xb in [0, 1].
 
     The direct form keeps relative accuracy when both squares are tiny;
     the complement-product form cannot round above 1 near the boundary.
     """
-    if xa + xb < 0.5:
-        return xa + xb - xa * xb
-    return 1.0 - (1.0 - xa) * (1.0 - xb)
+    return np.where(xa + xb < 0.5, xa + xb - xa * xb, 1.0 - (1.0 - xa) * (1.0 - xb))
 
 
-def add_p(a: PFN, b: PFN) -> PFN:
+def add_p(a: PFN | PFNArray, b: PFN | PFNArray) -> PFN | PFNArray:
     """Pythagorean sum: (sqrt(m_a**2 + m_b**2 - m_a**2 m_b**2), n_a n_b)."""
-    return PFN(math.sqrt(_sum_of_squares(a.m * a.m, b.m * b.m)), a.n * b.n)
+    return _of_kind(a, np.sqrt(_sum_of_squares(a.m * a.m, b.m * b.m)), a.n * b.n)
 
 
-def mul_p(a: PFN, b: PFN) -> PFN:
-    """Pythagorean product: (m_a m_b, sqrt(n_a**2 + n_b**2 - n_a**2 n_b**2))."""
-    return PFN(a.m * b.m, math.sqrt(_sum_of_squares(a.n * a.n, b.n * b.n)))
+def mul_p(a: PFN | PFNArray, b: PFN | PFNArray) -> PFN | PFNArray:
+    """Pythagorean product: (m_a m_b, sqrt(n_a**2 + n_b**2 - n_a**2 n_b**2)),
+    the complement of the sum of the complements."""
+    return complement(add_p(complement(a), complement(b)))
 
 
-def _one_minus_pow(s: float, alpha: float) -> float:
+def _one_minus_pow(s, alpha):
     """sqrt(1 - (1-s)**alpha) for s in [0, 1], computed without cancellation."""
-    if s >= 1.0:
-        return 1.0
     # expm1/log1p keep relative accuracy when s is tiny, so the exponent laws
     # hold to machine precision instead of drifting near the boundary.
-    return math.sqrt(-math.expm1(alpha * math.log1p(-s)))
+    edge = s >= 1.0
+    log = _libm(math.log1p, np.where(edge, 0.0, -s))
+    return np.where(edge, 1.0, np.sqrt(-_libm(math.expm1, alpha * log)))
 
 
-def scalar_mul(alpha: float, x: PFN) -> PFN:
+def scalar_mul(alpha: float | np.ndarray, x: PFN | PFNArray) -> PFN | PFNArray:
     """alpha-multiple: (sqrt(1 - (1-m**2)**alpha), n**alpha), alpha > 0."""
-    if alpha <= 0:
-        raise NonPositiveScalar(f"scalar must be > 0, got {alpha}")
-    return PFN(_one_minus_pow(min(x.m * x.m, 1.0), alpha), x.n**alpha)
+    if (np.asarray(alpha) <= 0.0).any():
+        raise NonPositiveScalar(f"scalar multiples and powers need alpha > 0, got {alpha}")
+    n = _libm(pow, *np.broadcast_arrays(x.n, alpha))
+    return _of_kind(x, _one_minus_pow(x.m * x.m, alpha), n)
 
 
-def power(x: PFN, alpha: float) -> PFN:
-    """alpha-th power: (m**alpha, sqrt(1 - (1-n**2)**alpha)), alpha > 0."""
-    if alpha <= 0:
-        raise NonPositiveScalar(f"exponent must be > 0, got {alpha}")
-    return PFN(x.m**alpha, _one_minus_pow(min(x.n * x.n, 1.0), alpha))
+def power(x: PFN | PFNArray, alpha: float | np.ndarray) -> PFN | PFNArray:
+    """alpha-th power: (m**alpha, sqrt(1 - (1-n**2)**alpha)), alpha > 0, the
+    complement of the alpha-multiple of the complement."""
+    return complement(scalar_mul(alpha, complement(x)))
 
 
-def score(x: PFN) -> float:
+def score(x: PFN | PFNArray) -> float | np.ndarray:
     """Score m**2 - n**2, in [-1, 1]."""
     return x.m * x.m - x.n * x.n
 
 
-def accuracy(x: PFN) -> float:
+def accuracy(x: PFN | PFNArray) -> float | np.ndarray:
     """Accuracy m**2 + n**2, in [0, 1]; the tiebreaker for equal scores."""
     return x.m * x.m + x.n * x.n
 
 
-def expectation_score(x: PFN) -> float:
+def expectation_score(x: PFN | PFNArray) -> float | np.ndarray:
     """Expectation score (m**2 - n**2 + 1) / 2, in [0, 1].
 
     Defined through `score` so that ES == (score + 1) / 2 holds bit for bit.
@@ -157,46 +183,55 @@ def expectation_score(x: PFN) -> float:
     return (score(x) + 1.0) / 2.0
 
 
-# Reading an enum member off its class runs a descriptor; these are plain loads.
-_LATTICE, _ES_THEN_M = OrderKind.LATTICE, OrderKind.ES_THEN_MEMBERSHIP
-_M_THEN_ES, _SCORE_ACCURACY = OrderKind.MEMBERSHIP_THEN_ES, OrderKind.SCORE_ACCURACY
+def valid(x: PFN | PFNArray) -> bool | np.ndarray:
+    """Entrywise: whether x is a PFN, by PFN's own test."""
+    in_range = (0.0 <= x.m) & (x.m <= 1.0) & (0.0 <= x.n) & (x.n <= 1.0)
+    return in_range & (accuracy(x) <= 1.0 + VALIDITY_EPS)
 
 
-def order_key(order: OrderKind, m: float, n: float) -> tuple[float, float]:
+def close(a: PFN | PFNArray, b: PFN | PFNArray) -> bool | np.ndarray:
+    """Entrywise: whether both components of a lie within COMPARE_EPS of b's."""
+    return (abs(a.m - b.m) <= COMPARE_EPS) & (abs(a.n - b.n) <= COMPARE_EPS)
+
+
+def order_key(order: OrderKind, m: float | np.ndarray, n: float | np.ndarray) -> tuple:
     """Sort key of a total order for the PFN (m, n): the order's primary (ES, m
     or score) snapped down to the COMPARE_EPS grid, then its tiebreak (m, ES or
-    accuracy).  Unlike a tolerance, a key is transitive.  The measures are
-    written out, rounding exactly as `score`, `accuracy` and `expectation_score`
-    do, because `compare` is the law suites' hot path.  Given numpy arrays of
-    m and n, it returns both key columns with the same bits per entry.
+    accuracy).  Unlike a tolerance, a key is transitive.  Given arrays of m
+    and n, it returns both key columns with the same bits per entry.
     """
-    if order is _M_THEN_ES:
-        return m / COMPARE_EPS // 1.0, (m * m - n * n + 1.0) / 2.0
-    if order is _ES_THEN_M:
-        return (m * m - n * n + 1.0) / 2.0 / COMPARE_EPS // 1.0, m
-    if order is _SCORE_ACCURACY:
-        return (m * m - n * n) / COMPARE_EPS // 1.0, m * m + n * n
+    x = PFNArray(m, n)
+    if order is OrderKind.MEMBERSHIP_THEN_ES:
+        return m / COMPARE_EPS // 1.0, expectation_score(x)
+    if order is OrderKind.ES_THEN_MEMBERSHIP:
+        return expectation_score(x) / COMPARE_EPS // 1.0, m
+    if order is OrderKind.SCORE_ACCURACY:
+        return score(x) / COMPARE_EPS // 1.0, accuracy(x)
     raise TypeError(f"not a total order: {order!r}")
 
 
+def below(a: PFN | PFNArray, b: PFN | PFNArray, order: OrderKind) -> bool | np.ndarray:
+    """Entrywise a <= b under `order`: the lattice order (m_a <= m_b and
+    n_a >= n_b), or the lexicographic <= of the total order's `order_key`."""
+    if order is OrderKind.LATTICE:
+        return (a.m <= b.m) & (a.n >= b.n)
+    (pa, ta), (pb, tb) = order_key(order, a.m, a.n), order_key(order, b.m, b.n)
+    return (pa < pb) | ((pa == pb) & (ta <= tb))
+
+
+_ORDERINGS = {(True, True): Ordering.EQUAL, (True, False): Ordering.LESS,
+              (False, True): Ordering.GREATER, (False, False): Ordering.INCOMPARABLE}
+
+
 def compare(a: PFN, b: PFN, order: OrderKind) -> Ordering:
-    """Compare two PFNs under the given order.
+    """Compare two PFNs under the given order, by `below` both ways.
 
     The lattice order is genuinely partial and may return INCOMPARABLE.  The
     three lexicographic orders are total: they compare `order_key`, so two
     PFNs tie only when their primaries share a COMPARE_EPS grid cell (and so
     lie within COMPARE_EPS) and their tiebreaks are equal.
     """
-    if order is _LATTICE:
-        if a.m == b.m and a.n == b.n:
-            return Ordering.EQUAL
-        if a.m <= b.m and a.n >= b.n:
-            return Ordering.LESS
-        if a.m >= b.m and a.n <= b.n:
-            return Ordering.GREATER
-        return Ordering.INCOMPARABLE
-    ka, kb = order_key(order, a.m, a.n), order_key(order, b.m, b.n)
-    return Ordering.EQUAL if ka == kb else Ordering.LESS if ka < kb else Ordering.GREATER
+    return _ORDERINGS[below(a, b, order), below(b, a, order)]
 
 
 def pfn_to_text(x: PFN) -> str:

@@ -32,7 +32,7 @@ from .errors import (
     OutOfRange,
     UniverseMismatch,
 )
-from .pfn import COMPARE_EPS, VALIDITY_EPS, PFN
+from .pfn import PFN, OrderKind, PFNArray, below, close, join, meet, valid
 
 PFNLike = PFN | tuple
 
@@ -187,18 +187,11 @@ def _reject(value, alts, names, i: int, j: int, where: str = "") -> None:
         raise InvalidPFN(f"{what}{where}: {exc}") from None
 
 
-def _valid(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Entrywise: whether (m, n) is a valid PFN, by PFN's own test."""
-    ok = (m >= 0.0) & (m <= 1.0) & (n >= 0.0) & (n <= 1.0)
-    ok &= m * m + n * n <= 1.0 + VALIDITY_EPS
-    return ok
-
-
 def check_cells(m: np.ndarray, n: np.ndarray, alts, names, locate=None) -> None:
     """Raise InvalidPFN for the first entry, row-major, of an (A + 1) x P table
     that is not a valid PFN.  The test is PFN's own, over whole arrays;
     `locate(i, j)`, if given, says where entry (i, j) sits in the input."""
-    ok = _valid(m, n)
+    ok = valid(PFNArray(m, n))
     if not ok.all():
         i, j = (int(k) for k in np.argwhere(~ok)[0])
         _reject((m.item(i, j), n.item(i, j)), alts, names, i, j, locate(i, j) if locate else "")
@@ -277,23 +270,22 @@ def _layout(s: PhiSoftSet, universe, names, tables=None) -> tuple[np.ndarray, np
 
 def _dominated(am, an, bm, bn) -> np.ndarray:
     """Per table: whether every entry of a is lattice-below b's."""
-    return ~((am > bm) | (an < bn)).any(axis=(-2, -1))
+    return below(PFNArray(am, an), PFNArray(bm, bn), OrderKind.LATTICE).all(axis=(-2, -1))
 
 
 def _close(am, an, bm, bn) -> np.ndarray:
     """Per table: whether every component of a is within COMPARE_EPS of b's."""
-    far = (np.abs(am - bm) > COMPARE_EPS) | (np.abs(an - bn) > COMPARE_EPS)
-    return ~far.any(axis=(-2, -1))
+    return close(PFNArray(am, an), PFNArray(bm, bn)).all(axis=(-2, -1))
 
 
-def _join(am, an, bm, bn) -> tuple[np.ndarray, np.ndarray]:
+def _join(am, an, bm, bn) -> PFNArray:
     """Entrywise lattice join: (max m, min n)."""
-    return np.maximum(am, bm), np.minimum(an, bn)
+    return join(PFNArray(am, an), PFNArray(bm, bn))
 
 
-def _meet(am, an, bm, bn) -> tuple[np.ndarray, np.ndarray]:
+def _meet(am, an, bm, bn) -> PFNArray:
     """Entrywise lattice meet: (min m, max n)."""
-    return np.minimum(am, bm), np.maximum(an, bn)
+    return meet(PFNArray(am, an), PFNArray(bm, bn))
 
 
 def is_subset(a: PhiSoftSet, b: PhiSoftSet) -> bool:
@@ -343,7 +335,7 @@ def _combine(a: PhiSoftSet, b: PhiSoftSet, union: bool, extended: bool) -> PhiSo
     wide = len(a_cols)
     of_a = [a_cols[name] if name in a_cols else wide + b_cols[name] for name in names]
     of_b = [wide + b_cols[name] if name in b_cols else a_cols[name] for name in names]
-    tables = np.hstack([a.table_m, bm]), np.hstack([a.table_n, bn])
+    tables = np.concatenate((a.table_m, bm), axis=1), np.concatenate((a.table_n, bn), axis=1)
     a_side, b_side = ([t.take(cols, axis=1) for t in tables] for cols in (of_a, of_b))
     # Join and meet of valid PFNs are valid, so the result needs no checks.
     lattice = _join if union else _meet

@@ -4,28 +4,36 @@ acceptance suite and behind the `laws` subcommand)."""
 import copy
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
 from phisoft import (
     PFN,
+    VALIDITY_EPS,
+    OrderKind,
+    Ordering,
     PFParameter,
     WeightVector,
     aggregation,
     build,
+    compare,
+    decide,
     equals,
     extended_intersection,
     extended_union,
     is_subset,
     laws,
     null_set,
+    pfn,
     restricted_intersection,
     restricted_union,
     softset,
     whole_set,
 )
 from phisoft.errors import InvalidPFN
+from phisoft.pfn import order_key
 
 
 def test_all_suites_pass_on_a_short_run():
@@ -408,10 +416,10 @@ class TestBatchedGeometricSuite:
     def test_a_fold_fault_on_some_cases_is_reported_alike(self, monkeypatch):
         fold = laws.pfwa_fold
 
-        def wrong(values, weights):
+        def wrong(values, weights):  # PFNs, or PFNArray columns with one case per entry
             folded = fold(values, weights)
-            m, n = (np.array([[getattr(v, c) for v in values]]) for c in "mn")
-            return PFN(folded.m, folded.n * 0.5) if _row_hit(m, n)[0] else folded
+            m, n = (np.stack([getattr(v, c) for v in values], axis=-1) for c in "mn")
+            return type(folded)(folded.m, np.where(_row_hit(m, n), folded.n * 0.5, folded.n))
 
         monkeypatch.setattr(laws, "pfwa_fold", wrong)
         first = []
@@ -420,3 +428,234 @@ class TestBatchedGeometricSuite:
             assert not result.ok and result.counterexample == counterexample
             first.append(index)
         assert max(first) > 0
+
+
+# --- the batched PFN suites against their per-case reference ---------------
+#
+# The per-case loops the `laws._law` runner replaced, one PFN case at a time
+# through the scalar API.  They draw exactly what the suites draw, and look
+# every operation up on `laws` (and `below` on `pfn`, through `compare`) at
+# call time, so an injected fault reaches both sides.
+
+
+def _reference_cases(rng, cases, points, scalars):
+    pfns = laws._sample_pfns(rng, points * cases)
+    alphas = laws._sample_alphas(rng, scalars * cases).tolist() if scalars else []
+    for i in range(cases):
+        yield i, (*pfns[points * i : points * (i + 1)], *alphas[scalars * i : scalars * (i + 1)])
+
+
+def reference_closure(rng, cases):
+    for i, (a, b, alpha) in _reference_cases(rng, cases, 2, 1):
+        try:
+            results = (
+                laws.complement(a), laws.join(a, b), laws.meet(a, b), laws.add_p(a, b),
+                laws.mul_p(a, b), laws.scalar_mul(alpha, a), laws.power(a, alpha),
+            )
+        except Exception as exc:  # constructor rejected a result
+            return i, f"a={a!r} b={b!r} alpha={alpha!r}: {exc}"
+        for r in results:
+            if not (0.0 <= r.m <= 1.0 and 0.0 <= r.n <= 1.0) or (
+                r.m * r.m + r.n * r.n > 1.0 + VALIDITY_EPS
+            ):
+                return i, f"a={a!r} b={b!r} alpha={alpha!r} -> {r!r}"
+    return None, None
+
+
+def _reference_identity(labels, *sides):
+    points = sum(label in ("a", "b") for label in labels)
+
+    def suite(rng, cases):
+        for i, case in _reference_cases(rng, cases, points, len(labels) - points):
+            for prefix, sides_of in sides:
+                left, right = sides_of(*case)
+                if not laws.pfn_close(left, right):
+                    shown = " ".join(f"{k}={v!r}" for k, v in zip(labels, case))
+                    return i, f"{prefix}{shown} {laws._diff(left, right)}"
+        return None, None
+
+    return suite
+
+
+REFERENCE_IDENTITIES = [
+    _reference_identity(("a", "b"),
+                        ("add_p ", lambda a, b: (laws.add_p(a, b), laws.add_p(b, a))),
+                        ("mul_p ", lambda a, b: (laws.mul_p(a, b), laws.mul_p(b, a)))),
+    _reference_identity(("a", "b", "alpha"), ("", lambda a, b, t: (
+        laws.scalar_mul(t, laws.add_p(a, b)),
+        laws.add_p(laws.scalar_mul(t, a), laws.scalar_mul(t, b))))),
+    _reference_identity(("a", "a1", "a2"), ("", lambda a, s, t: (
+        laws.add_p(laws.scalar_mul(s, a), laws.scalar_mul(t, a)), laws.scalar_mul(s + t, a)))),
+    _reference_identity(("a", "b", "alpha"), ("", lambda a, b, t: (
+        laws.power(laws.mul_p(a, b), t), laws.mul_p(laws.power(a, t), laws.power(b, t))))),
+    _reference_identity(("a", "a1", "a2"), ("", lambda a, s, t: (
+        laws.mul_p(laws.power(a, s), laws.power(a, t)), laws.power(a, s + t)))),
+]
+
+_M_ES = OrderKind.MEMBERSHIP_THEN_ES
+
+
+def reference_partial_order(rng, cases):
+    for i, (x, y, z) in _reference_cases(rng, cases, 3, 0):
+        if compare(x, x, _M_ES) is not Ordering.EQUAL:
+            return i, f"not reflexive at x={x!r}"
+        for a, b in ((x, y), (y, z), (x, z)):
+            if compare(b, a, _M_ES) is not Ordering(-compare(a, b, _M_ES).value):
+                return i, f"not antisymmetric: a={a!r} b={b!r}"
+        lo, mid, hi = sorted((x, y, z), key=lambda p: order_key(_M_ES, p.m, p.n))
+        if (
+            compare(lo, mid, _M_ES) is Ordering.GREATER
+            or compare(mid, hi, _M_ES) is Ordering.GREATER
+            or compare(lo, hi, _M_ES) is Ordering.GREATER
+        ):
+            return i, f"not transitive on {x!r}, {y!r}, {z!r}"
+    return None, None
+
+
+def reference_orders_agree(rng, cases):
+    for i, (a, b) in _reference_cases(rng, cases, 2, 0):
+        left = compare(a, b, OrderKind.SCORE_ACCURACY)
+        right = compare(a, b, OrderKind.ES_THEN_MEMBERSHIP)
+        if left is not right:
+            return i, f"a={a!r} b={b!r} {left} vs {right}"
+    return None, None
+
+
+def reference_addition_order(rng, cases):
+    for i, (m, n, k) in _reference_cases(rng, cases, 3, 0):
+        if compare(n, k, _M_ES) is Ordering.GREATER:
+            n, k = k, n
+        if compare(laws.add_p(m, n), laws.add_p(m, k), _M_ES) is Ordering.GREATER:
+            return i, f"M={m!r} N={n!r} K={k!r}"
+    return None, None
+
+
+def reference_scaling_order(rng, cases):
+    for i, (a, b, alpha, beta) in _reference_cases(rng, cases, 2, 2):
+        if compare(a, b, _M_ES) is Ordering.GREATER:
+            a, b = b, a
+        if compare(laws.scalar_mul(alpha, a), laws.scalar_mul(alpha, b), _M_ES) is Ordering.GREATER:
+            return i, f"a={a!r} b={b!r} alpha={alpha!r}"
+        a1, a2 = sorted((alpha, beta))
+        if compare(laws.scalar_mul(a1, a), laws.scalar_mul(a2, a), _M_ES) is Ordering.GREATER:
+            return i, f"a={a!r} a1={a1!r} a2={a2!r}"
+    return None, None
+
+
+PFN_REFERENCES = {
+    laws.closure_of_pfn_operations: reference_closure,
+    **dict(zip(laws._IDENTITY_SUITES, REFERENCE_IDENTITIES)),
+    laws.membership_then_es_is_partial_order: reference_partial_order,
+    laws.score_accuracy_agrees_with_es_then_membership: reference_orders_agree,
+    laws.addition_preserves_order: reference_addition_order,
+    laws.scaling_preserves_order: reference_scaling_order,
+}
+CLOSURE = [laws.closure_of_pfn_operations]
+IDENTITIES = list(laws._IDENTITY_SUITES)
+ORDER_SUITES = [
+    laws.membership_then_es_is_partial_order, laws.score_accuracy_agrees_with_es_then_membership,
+    laws.addition_preserves_order, laws.scaling_preserves_order,
+]
+
+
+def _against_pfn_reference(suite, seed, cases):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    result = suite(rng, cases)
+    index, counterexample = PFN_REFERENCES[suite](ref_rng, cases)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert result.cases == cases and result.counterexample == counterexample
+    return index
+
+
+def _hit(*xs):
+    """Entrywise: whether the PFNs or PFNArrays `xs` hash to 0 mod 13.  The
+    hash is an exact integer sum, the same for an entry alone and inside an
+    array."""
+    parts = [c for x in xs for c in (x.m, x.n)]
+    key = sum(np.asarray(c * 2**20).astype(np.int64) * (2 * k + 1) for k, c in enumerate(parts))
+    return key % 13 == 0
+
+
+def _invalid_on_hits(op):
+    """`op`, whose membership is pushed above 1 on hashed cases."""
+    def wrong(a, b):
+        r = op(a, b)
+        return type(r)(np.where(_hit(a, b), r.m + 1.0, r.m), r.n)
+    return wrong
+
+
+def _nudged_on_hits(op):
+    """`op`, whose membership is halved on hashed cases."""
+    def wrong(x, y):
+        r = op(x, y)
+        return type(r)(np.where(_hit(*(v for v in (x, y) if hasattr(v, "m"))), r.m * 0.5, r.m), r.n)
+    return wrong
+
+
+def _flipped_on_hits(below):
+    """`below` with its operands swapped on pairs whose hash, symmetric in
+    the two, is 0 mod 13: the order is reversed on those pairs."""
+    def wrong(a, b, order):
+        key = (a.m + b.m) * 2**20  # symmetric in a and b
+        hit = np.asarray(key).astype(np.int64) % 13 == 0
+        out = np.where(hit, below(b, a, order), below(a, b, order))
+        return out if out.ndim else bool(out)
+    return wrong
+
+
+class TestBatchedPfnSuites:
+    @pytest.mark.parametrize("suite", list(PFN_REFERENCES), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("seed", [0, 9, 31])
+    def test_same_verdict_and_draws_as_the_reference(self, suite, seed):
+        assert _against_pfn_reference(suite, seed, 400) is None
+
+    @pytest.mark.parametrize(
+        ("family", "patch"),
+        [
+            (CLOSURE, lambda mp: mp.setattr(laws, "add_p", _invalid_on_hits(laws.add_p))),
+            (IDENTITIES, lambda mp: [mp.setattr(laws, name, _nudged_on_hits(getattr(laws, name)))
+                                     for name in ("add_p", "scalar_mul", "power")]),
+            (ORDER_SUITES, lambda mp, flipped=_flipped_on_hits(pfn.below): [
+                mp.setattr(module, "below", flipped) for module in (pfn, laws)]),
+        ],
+        ids=["closure-invalid-result", "identity-nudged-operation", "order-flipped-below"],
+    )
+    def test_a_fault_on_some_cases_is_reported_alike(self, family, patch, monkeypatch):
+        patch(monkeypatch)
+        for suite in family:
+            first = [_against_pfn_reference(suite, seed, 200) for seed in range(8)]
+            if suite is not laws.score_accuracy_agrees_with_es_then_membership:  # both orders flip
+                assert None not in first and max(first) > 0, suite.__name__
+
+    def test_an_invalid_result_is_worded_by_the_constructor(self, monkeypatch):
+        monkeypatch.setattr(laws, "add_p", _invalid_on_hits(laws.add_p))
+        result = laws.closure_of_pfn_operations(np.random.default_rng(1), 200)
+        assert re.fullmatch(r"a=PFN\(.*\) b=PFN\(.*\) alpha=[0-9.e-]+: degrees must lie in .*",
+                            result.counterexample)
+
+
+def test_no_scalar_algebra_per_case(monkeypatch, table1, table2):
+    """The suites but equal-score-tiebreaks-agree build the same number of
+    PFNs through the algebra at 200 as at 400 cases: only their replays use
+    the scalar API.  `decide` builds none."""
+    built = []
+    of_kind = pfn._of_kind
+
+    def counted(x, m, n):
+        out = of_kind(x, m, n)
+        built.append(type(out) is PFN)
+        return out
+
+    monkeypatch.setattr(pfn, "_of_kind", counted)
+
+    def count(run):
+        built.clear()
+        run()
+        return sum(built)
+
+    for law in laws.ALL_LAWS:
+        if law is not laws.equal_score_tiebreaks_agree:
+            small, large = (count(lambda c=c: law(np.random.default_rng(8), c)) for c in (200, 400))
+            assert small == large, law.__name__
+    assert count(lambda: laws.equal_score_tiebreaks_agree(np.random.default_rng(8), 200)) == 0
+    assert count(lambda: decide(table1, table2)) == 0 and built  # the arrays went through it

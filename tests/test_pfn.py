@@ -23,6 +23,7 @@ from phisoft import (
     power,
     scalar_mul,
     score,
+    softset,
 )
 from phisoft.errors import (
     NonPositiveScalar,
@@ -30,6 +31,8 @@ from phisoft.errors import (
     OutOfRange,
     ParseError,
 )
+from phisoft.pfn import PFNArray, below, valid
+from phisoft.pfn import close as pfn_close
 
 EPS = 1e-12
 
@@ -246,3 +249,108 @@ class TestTextForm:
             pfn_from_text("0.9,0.9")
         with pytest.raises(OutOfRange):
             pfn_from_text("1.5,0.0")
+
+
+class TestSignedZeroTies:
+    # Where two components differ only in the sign of zero, the lattice
+    # operations take b's, for one PFN as for the table kernels.
+    @pytest.mark.parametrize("op", [join, meet])
+    @pytest.mark.parametrize(("za", "zb"), [(-0.0, 0.0), (0.0, -0.0)])
+    def test_a_tie_takes_b_s_zero(self, op, za, zb):
+        kernel = softset._join if op is join else softset._meet
+        for a, b in ((PFN(za, 0.5), PFN(zb, 0.5)), (PFN(0.5, za), PFN(0.5, zb))):
+            got = op(a, b)
+            tied = got.m if a.m == 0.0 else got.n
+            assert tied == 0.0 and math.copysign(1.0, tied) == math.copysign(1.0, zb)
+            m, n = kernel(*(np.array([[v]]) for v in (a.m, a.n, b.m, b.n)))
+            assert _bits([got.m, got.n]) == _bits([m.item(), n.item()])
+
+
+# --- one algebra for PFNs and PFNArrays --------------------------------------
+
+ORDERS = list(OrderKind)
+EDGES = [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (-0.0, 0.5), (0.5, -0.0), (-0.0, -0.0),
+         (1e-300, 0.0), (0.0, 1e-300), (1e-300, 1e-300), (0.6, 0.8), (0.8, 0.6), (0.5, 0.4)]
+ORDERINGS = {(True, True): Ordering.EQUAL, (True, False): Ordering.LESS,
+             (False, True): Ordering.GREATER, (False, False): Ordering.INCOMPARABLE}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _operands():
+    """Every pair of edge points, then seeded pairs, with one alpha each:
+    a and b as PFNArrays, and the alphas as an array."""
+    rng = np.random.default_rng(2024)
+    pairs = [(p, q) for p in EDGES for q in EDGES]
+    while len(pairs) < 600:
+        m1, n1, m2, n2 = rng.random(4)
+        if m1 * m1 + n1 * n1 <= 1 and m2 * m2 + n2 * n2 <= 1:
+            pairs.append(((m1, n1), (m2, n2)))
+    a, b = (np.array([pair[k] for pair in pairs]) for k in (0, 1))
+    alphas = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), len(pairs)))
+    alphas[:5] = (1.0, 0.05, 4.0, 1e-300, 1e300)
+    return PFNArray(*a.T), PFNArray(*b.T), alphas
+
+
+def _entries(x):
+    return [PFN(m, n) for m, n in zip(x.m.tolist(), x.n.tolist())]
+
+
+class TestOneAlgebraForBothShapes:
+    """Each operation, order and measure gives the same bits on a PFNArray
+    as on each of its entries as a PFN."""
+
+    a, b, alphas = _operands()
+    cases = list(zip(_entries(a), _entries(b), alphas.tolist()))
+
+    def _same_pfns(self, batch, scalars):
+        assert isinstance(batch, PFNArray)
+        assert all(type(r) is PFN and type(r.m) is float and type(r.n) is float for r in scalars)
+        assert _bits(batch.m) == _bits([r.m for r in scalars])
+        assert _bits(batch.n) == _bits([r.n for r in scalars])
+
+    @pytest.mark.parametrize("op", [join, meet, add_p, mul_p], ids=lambda f: f.__name__)
+    def test_binary_operations(self, op):
+        self._same_pfns(op(self.a, self.b), [op(x, y) for x, y, _ in self.cases])
+
+    def test_complement_and_scaling(self):
+        self._same_pfns(complement(self.a), [complement(x) for x, _, _ in self.cases])
+        self._same_pfns(scalar_mul(self.alphas, self.a), [scalar_mul(t, x) for x, _, t in self.cases])
+        self._same_pfns(power(self.a, self.alphas), [power(x, t) for x, _, t in self.cases])
+
+    def test_one_scalar_for_a_whole_array(self):
+        self._same_pfns(scalar_mul(0.3, self.a), [scalar_mul(0.3, x) for x, _, _ in self.cases])
+        self._same_pfns(power(self.a, 2.5), [power(x, 2.5) for x, _, _ in self.cases])
+
+    @pytest.mark.parametrize("measure", [score, accuracy, expectation_score], ids=lambda f: f.__name__)
+    def test_measures(self, measure):
+        scalars = [measure(x) for x, _, _ in self.cases]
+        assert all(type(v) is float for v in scalars)
+        assert _bits(measure(self.a)) == _bits(scalars)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.value)
+    def test_below_and_compare(self, order):
+        ab, ba = below(self.a, self.b, order), below(self.b, self.a, order)
+        assert ab.dtype == bool and ab.shape == self.a.m.shape
+        for i, (x, y, _) in enumerate(self.cases):
+            assert below(x, y, order) is bool(ab[i]) and below(y, x, order) is bool(ba[i])
+            assert compare(x, y, order) is ORDERINGS[bool(ab[i]), bool(ba[i])]
+
+    def test_close_and_valid(self):
+        near = PFNArray(self.a.m * (1 - 1e-12 * self.alphas.clip(max=4.0)), self.a.n)
+        invalid = PFNArray(self.a.m * (1 + self.alphas.clip(max=4.0)), self.a.n)
+        for x, y in ((self.a, self.b), (self.a, near), (self.a, self.a)):
+            got = pfn_close(x, y)
+            assert 0 < got.sum() and (y is not near or not got.all())
+            assert got.tolist() == [pfn_close(p, q) for p, q in zip(_entries(x), _entries(y))]
+        assert valid(self.a).all() and all(valid(x) is True for x, _, _ in self.cases)
+        flags = valid(invalid).tolist()
+        assert not all(flags) and any(flags)
+        for (m, n), flag in zip(zip(invalid.m.tolist(), invalid.n.tolist()), flags):
+            if flag:
+                PFN(m, n)
+            else:
+                with pytest.raises((OutOfRange, NotPythagorean)):
+                    PFN(m, n)
