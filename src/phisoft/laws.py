@@ -9,6 +9,7 @@ line print it and the test suite assert on it.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -53,11 +54,6 @@ def _sample_points(rng: np.random.Generator, count: int) -> np.ndarray:
         kept.append(batch[batch[:, 0] ** 2 + batch[:, 1] ** 2 <= 1.0])
         have += len(kept[-1])
     return np.concatenate(kept)[:count]
-
-
-def _sample_pfns(rng: np.random.Generator, count: int) -> list[PFN]:
-    """`_sample_points` as PFNs."""
-    return list(map(PFN, *_sample_points(rng, count).T.tolist()))
 
 
 def _sample_alphas(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -192,61 +188,130 @@ def scaling_preserves_order(a, b, alpha, beta):
            lambda _: f"a={a!r} a1={float(a1)!r} a2={float(a2)!r}")
 
 
-def _equal_score_pair(rng, base: PFN) -> PFN | None:
-    """A second PFN with the same score as `base`, if one samples validly."""
-    for _ in range(32):
-        mb = float(rng.random())
-        nb2 = base.n * base.n + mb * mb - base.m * base.m
-        if 0.0 <= nb2 and mb * mb + nb2 <= 1.0:
-            return PFN(mb, math.sqrt(nb2))
-    return None
+def _readings(x, y):
+    """The five tiebreak readings of x <= y on an equal-score pair."""
+    sf_eq = abs(score(x) - score(y)) <= COMPARE_EPS
+    es_eq = abs(expectation_score(x) - expectation_score(y)) <= COMPARE_EPS
+    return (
+        sf_eq & (accuracy(x) <= accuracy(y)),
+        es_eq & (x.m <= y.m),
+        es_eq & (x.n <= y.n),
+        sf_eq & (x.m <= y.m),
+        sf_eq & (x.n <= y.n),
+    )
+
+
+def _doubles(rng, block: int):
+    """The doubles of rng.random(), drawn `block` at a time: the same stream."""
+    while True:
+        yield from rng.random(block).tolist()
+
+
+def _equal_score_scan(rng, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Attempt t tries up to 32 doubles mb for base t mod cases and keeps the
+    first that gives a point (mb, sqrt(nb2)) of the base's score, until there
+    are `cases` pairs or 40 * cases attempts.  Returns each pair's (mb, nb2)
+    and (base, doubles used up to it), and all the doubles used."""
+    cases = len(bases)
+    squares_m, squares_n = (bases * bases).T.tolist()
+    doubles = _doubles(rng, 1024)
+    values, counts = array("d"), array("q")  # no Python object per pair
+    drawn = 0
+    for attempt in range(40 * cases):
+        if len(values) == 2 * cases:
+            break
+        j = attempt % cases
+        bm2, bn2 = squares_m[j], squares_n[j]
+        for drawn, mb in zip(range(drawn + 1, drawn + 33), doubles):
+            nb2 = bn2 + mb * mb - bm2
+            if 0.0 <= nb2 and mb * mb + nb2 <= 1.0:
+                values.extend((mb, nb2))
+                counts.extend((j, drawn))
+                break
+    return np.array(values).reshape(-1, 2), np.array(counts).reshape(-1, 2), drawn
 
 
 def equal_score_tiebreaks_agree(rng, cases: int) -> LawResult:
-    """On equal-score pairs the five tiebreak readings say the same thing."""
-    name = "equal-score-tiebreaks-agree"
-    bases = _sample_pfns(rng, cases)
-    done = attempts = 0
-    while done < cases:
-        a = bases[attempts % len(bases)]
-        attempts += 1
-        if attempts > 40 * cases:
-            return LawResult(name, cases, "sampling stalled")
-        b = _equal_score_pair(rng, a)
-        if b is None:
-            continue
-        done += 1
-        for x, y in ((a, b), (b, a)):
-            sf_eq = abs(score(x) - score(y)) <= COMPARE_EPS
-            es_eq = abs(expectation_score(x) - expectation_score(y)) <= COMPARE_EPS
-            conditions = (
-                sf_eq and accuracy(x) <= accuracy(y),
-                es_eq and x.m <= y.m,
-                es_eq and x.n <= y.n,
-                sf_eq and x.m <= y.m,
-                sf_eq and x.n <= y.n,
-            )
+    """On equal-score pairs the five tiebreak readings say the same thing.
+
+    All pairs are checked at once, then pair 0 and the first failing pair
+    as PFNs.  The scan draws its doubles in blocks, so rng is then reset and
+    advanced by the doubles a pair-by-pair run draws up to where it stops."""
+    bases = _sample_points(rng, cases)
+    start = rng.bit_generator.state
+    values, counts, drawn = _equal_score_scan(rng, bases)
+    (mb, nb2), (picked, used) = values.T, counts.T
+    a, b = PFNArray(*bases[picked].T), PFNArray(mb, np.sqrt(nb2))
+    failed = np.zeros(len(picked), bool)
+    for x, y in ((a, b), (b, a)):
+        conditions = _readings(x, y)
+        failed |= np.any(conditions, axis=0) != np.all(conditions, axis=0)
+
+    def replay(i: int) -> str | None:
+        pa, pb = PFN(a.m[i].item(), a.n[i].item()), PFN(b.m[i].item(), b.n[i].item())
+        for x, y in ((pa, pb), (pb, pa)):
+            conditions = _readings(x, y)
             if any(conditions) != all(conditions):
-                return LawResult(name, cases, f"x={x!r} y={y!r} -> {conditions}")
-    return LawResult(name, cases)
+                return f"x={x!r} y={y!r} -> {conditions}"
+        return None
+
+    stop, counterexample = _first_failure(failed, replay)
+    rng.bit_generator.state = start
+    left = drawn if stop is None else int(used[stop])
+    while left:  # a stalled scan draws 1280 doubles per case
+        left -= len(rng.random(min(left, 1 << 16)))
+    if counterexample is None and len(picked) < cases:
+        counterexample = "sampling stalled"
+    return LawResult("equal-score-tiebreaks-agree", cases, counterexample)
+
+
+def _geometric_cases(rng, cases: int):
+    """Case i's length k[i] (1 to 8), points and weights, in row i of (cases,
+    8, 2) and (cases, 8) tables, drawn as per-case `integers`,
+    `_sample_points` and `uniform` calls draw them.  The loop makes only the
+    generator calls; the rejection test and the weight normalization run on
+    arrays.  A case whose first batch keeps fewer than k[i] points needs
+    `_sample_points`' refill, which shifts every later draw: its chunk of
+    cases is drawn again from the chunk's start, that case sampled in full."""
+    k, mn, w = np.empty(cases, np.intp), np.zeros((cases, 8, 2)), np.zeros((cases, 8))
+    chunk, refilled = 256, set()  # a chunk's table and its temporaries stay under 0.2 MB
+    for lo in range(0, cases, chunk):
+        start, hi = rng.bit_generator.state, min(lo + chunk, cases)
+        while True:
+            batches = np.ones((hi - lo, 24, 2))  # (1, 1) lies outside the disk
+            for i in range(lo, hi):
+                k[i] = size = int(rng.integers(1, 9))
+                if i in refilled:
+                    batches[i - lo, :size] = _sample_points(rng, size)
+                else:
+                    rng.random(out=batches[i - lo, : size + 16])
+                w[i, :size] = rng.uniform(1e-3, 1.0, size)
+            inside = batches[..., 0] ** 2 + batches[..., 1] ** 2 <= 1.0
+            rank = np.cumsum(inside, axis=1, dtype=np.int8)  # of each kept point, from 1
+            short = rank[:, -1] < k[lo:hi]
+            if not short.any():
+                break
+            refilled.update((lo + np.flatnonzero(short)).tolist())
+            rng.bit_generator.state = start
+        row, col = np.nonzero(inside & (rank <= k[lo:hi, None]))
+        mn[lo + row, rank[row, col] - 1] = batches[row, col]
+    for size in range(1, 9):
+        sel = k == size
+        raw = w[sel, :size]
+        w[sel, :size] = raw / raw.sum(axis=1, keepdims=True)
+    return k, mn, w
 
 
 def geometric_closed_form_matches_fold(rng, cases: int) -> LawResult:
     """Closed-form weighted averaging equals the constructive add_p fold.
 
-    Case i is k[i] <= 8 PFNs and weights, in row i of (cases, 8) tables.
-    Every case's closed form runs through `aggregation.pfwa_table` (looked
-    up at call time), one call per k, and every case is folded; case 0 and
-    the first failing case are then checked again through `pfwa_geometric`,
-    which words the counterexample.
+    Case i is k[i] <= 8 PFNs and weights (`_geometric_cases`).  Every case's
+    closed form runs through `aggregation.pfwa_table` (looked up at call
+    time), one call per k, and every case is folded; case 0 and the first
+    failing case are then checked again through `pfwa_geometric`, which
+    words the counterexample.
     """
-    mn, w = np.zeros((cases, 8, 2)), np.zeros((cases, 8))
-    k = np.empty(cases, np.intp)
-    for i in range(cases):
-        k[i] = size = int(rng.integers(1, 9))
-        mn[i, :size] = _sample_points(rng, size)
-        raw = rng.uniform(1e-3, 1.0, size)
-        w[i, :size] = raw / raw.sum()
+    k, mn, w = _geometric_cases(rng, cases)
     closed_m, closed_n, folded_m, folded_n = np.empty((4, cases))
     for size in range(1, 9):
         sel = k == size
@@ -304,17 +369,23 @@ def _checked(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, n
 
 
-def _replayed(name: str, cases: int, failed: np.ndarray, replay) -> LawResult:
-    """The verdict on per-case batched `failed` flags.  `replay(i)` checks
-    case i through the public API and returns its counterexample or None;
-    it runs on case 0 and on the first flagged case."""
-    for i in sorted({0, int(failed.argmax())}):
+def _first_failure(failed: np.ndarray, replay) -> tuple[int | None, str | None]:
+    """The first failing case and its counterexample, or (None, None), on
+    per-case batched `failed` flags.  `replay(i)` checks case i through the
+    public API and returns its counterexample or None; it runs on case 0 and
+    on the first flagged case."""
+    for i in sorted({0, int(failed.argmax())}) if len(failed) else ():
         counterexample = replay(i)
         if counterexample is None and failed[i]:
             counterexample = f"case {i} fails in the batched check only"
         if counterexample is not None:
-            return LawResult(name, cases, counterexample)
-    return LawResult(name, cases)
+            return i, counterexample
+    return None, None
+
+
+def _replayed(name: str, cases: int, failed: np.ndarray, replay) -> LawResult:
+    """The verdict of `_first_failure`."""
+    return LawResult(name, cases, _first_failure(failed, replay)[1])
 
 
 def _identities_case(x: PhiSoftSet, i: int, null: PhiSoftSet, whole: PhiSoftSet) -> str | None:

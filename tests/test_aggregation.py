@@ -306,8 +306,8 @@ class TestTableKernel:
              0.5 * math.log1p(-0.5 * 0.5)])))
         assert got_n[1] == math.exp(math.fsum(
             [0.25 * math.log(0.5), 0.25 * math.log(0.6), 0.5 * math.log(0.7)]))
-        # An all-(0, 1) row aggregates to (-0.0, 1.0): sqrt(-expm1(0.0)) = sqrt(-0.0).
-        assert math.copysign(1.0, got_m[2]) == -1.0 and got_m[2] == 0.0 and got_n[2] == 1.0
+        # An all-(0, 1) row aggregates to (+0.0, 1.0), though sqrt(-expm1(0.0)) is sqrt(-0.0).
+        assert math.copysign(1.0, got_m[2]) == 1.0 and got_m[2] == 0.0 and got_n[2] == 1.0
 
     @pytest.mark.parametrize("aggregator", list(Aggregator))
     def test_rows_are_independent(self, aggregator):

@@ -284,11 +284,11 @@ REPORT_SHA256 = {
     },
     "edge": {
         "eunion geometric sfaf":
-            "52938c910e20d6ed060e0e4df13b6c93a1afb47762fb6fda94b90c2e68c23e54",
+            "c0313de9a19fae3b4f2f8300cc49fe60e36ebdc777e6cfa6575072476c3d8156",
         "eunion geometric m":
-            "ecdec437c42bbcd49d9fb94372366d699a65ba2b866a14a2a537444d380eb018",
+            "104b7decd58f19c71503ade01555c380e6f589b2613a5dbc80efb5f2c054d6a9",
         "eunion geometric es":
-            "741c2136fb8fe96d30785d0aa1f727814b04304b36ac2e3b251b0eb467c7523c",
+            "defdfc40ecffff5e44cd08de8c2f610495d4de46ff5c20dda7a5034200cc63bd",
         "eunion linear sfaf":
             "23a9c2553891f641005bb7e496a5cf48012c50170d438b85f2135c941fe6f646",
         "eunion linear m":
@@ -296,11 +296,11 @@ REPORT_SHA256 = {
         "eunion linear es":
             "24b28de60755ab47951fe8c9c9c82d4fbe8e9225bd092ed13434f31cca914805",
         "eintersect geometric sfaf":
-            "9953729e71879ca0146fc6b5b895e7b69905b037574adbb29e3ac0265ceb6eef",
+            "670f9c2823069507329434e533e49dce7b6fdc346db4948d6009bfadd1a1726a",
         "eintersect geometric m":
-            "9a4b945482b7f15a51afe0f9dee58a970c95f78eb720519d36560d1187992d28",
+            "a19efa4f0a6d35247dc6e75713bc43f3f65db7b4433e5aab3f48832bec24659d",
         "eintersect geometric es":
-            "8c4e25c6fc27a04140ec95f0626ab6a90b0d12a220c1adf699fe8d7a8913c4e4",
+            "072ed9537deceaccc497b2b2804d3a7a18c3036561fc414dda71148cb5dcb1cf",
         "eintersect linear sfaf":
             "21ed78a9fed9583d2c06f9173e26ec874b0a02874bc55c1bed4dd79b59679a75",
         "eintersect linear m":
@@ -308,11 +308,11 @@ REPORT_SHA256 = {
         "eintersect linear es":
             "03833769aabde1cf7e5e84094e18cea0f982ad153fa0789951906fc4883e70fb",
         "runion geometric sfaf":
-            "e9091ed81ccf274ae9dbd54ca1ce74a6155571e1965474a98821ba607c3b97cc",
+            "7ff3eb3b8cbb19fd6e99b3885d016c09a39a03fbcd91029a5df4bc470c979ebe",
         "runion geometric m":
-            "554d7420c136e23846d992b22e0f659eb108916a43aa70696cf739c837c0bcf0",
+            "97e979372e9f8b2f0cd29d75b78bd69d9cf0c4387ebf020495be8af414cdd86a",
         "runion geometric es":
-            "5fdee672244a5c1eb0ae4a6ebab1827ae5fd2b58cc7cc1a80490554abad27c7c",
+            "9fde3814108ee4d23e7aa4e36c1fdb51b43b50740adcec0c6f89ea9cc85fb64a",
         "runion linear sfaf":
             "3506a0fddee24f97fe30b61d261dafaee36fceb1b3c06f5cfa04b919c747eeeb",
         "runion linear m":
@@ -320,11 +320,11 @@ REPORT_SHA256 = {
         "runion linear es":
             "39c15d518525de7b6d4e0c6b77def91a7c9bba98db2cc0749119e70eb3533886",
         "rintersect geometric sfaf":
-            "6fd109e71f29b12a25702641620822e2b0933dd548bba14ae198ffa16d04f9a5",
+            "6b45ca11ade7cdbe6c0e31db9d773e126bd42cb5177abfd1bf0175027ab79160",
         "rintersect geometric m":
-            "9957fe17060028de959c4b71b4f33c942e8b36b86aa95a3538e39174d2480763",
+            "db11056000bb74b57a3fefc7f287d26b39bcb40ec194b6d994decd75be0bc37e",
         "rintersect geometric es":
-            "79391d3cb9e639670dfbe777f61897215143c8924909afa9778e787189601534",
+            "47c6c1dd61aef346297675530535ab9eee99ed036584f1bcfcfdd6061137f6cb",
         "rintersect linear sfaf":
             "535e48da04836b7dc838c36b80732c740ddc05503fb84509812afbe1e8bba881",
         "rintersect linear m":

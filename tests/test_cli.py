@@ -110,6 +110,20 @@ def test_decide_json_report(table_files, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_decide_prints_a_zero_membership_without_a_sign(tmp_path, capsys):
+    # sqrt(-expm1(0.0)) is sqrt(-0.0); the geometric operator gives 0.0, not -0.0
+    table = tmp_path / "zero.csv"
+    table.write_text('id,c1,c2\np1,"0.0,0.5","0.0,0.9"\np2,"0.6,0.3","0.5,0.4"\n'
+                     '__f__,"0.5,0.4","0.6,0.3"\n')
+    report = tmp_path / "zero.json"
+    assert main(["decide", str(table), str(table), "--json", str(report)]) == 0
+    row = next(line.split() for line in capsys.readouterr().out.splitlines()
+               if line.startswith("p1"))
+    assert row[1] == "0.0000"
+    p1 = next(r for r in json.loads(report.read_text())["measures"] if r["alt"] == "p1")
+    assert repr(p1["apfdv"]["m"]) == "0.0"
+
+
 def test_decide_variants_run(table_files, capsys):
     a, b = table_files
     for extra in (

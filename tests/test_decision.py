@@ -14,6 +14,7 @@ from phisoft import (
     compare,
     decide,
     decide_single,
+    decision,
     extended_intersection,
     equals,
 )
@@ -253,8 +254,8 @@ ZERO_ROWS = {
 
 
 def _zero_table():
-    """Rows whose primary key is 0: the geometric operator gives an all-zero
-    membership -0.0, so negated keys of -0.0 and 0.0 meet in one sort."""
+    """Rows whose primary key is 0 under the membership order, or within a
+    COMPARE_EPS grid cell of it."""
     cells = {(alt, name): v for alt, vs in ZERO_ROWS.items() for name, v in zip(("c1", "c2"), vs)}
     return build(tuple(ZERO_ROWS), [("c1", (0.5, 0.4)), ("c2", (0.6, 0.3))], cells)
 
@@ -286,15 +287,29 @@ def test_identical_rows_rank_in_python_string_order():
             assert report.ranking() == tuple(sorted(TIED_IDS)) == ("A", "a", "a\x00", "b10", "b9", "é")
 
 
-def test_zero_primary_family_meets_both_signed_zeros():
-    # Under the membership order the geometric primary key column holds both
-    # 0.0 and -0.0, so the family exercises -0.0 == 0.0 in the sort.
-    report = decide_single(_zero_table(), DecisionConfig(ranking_order=OrderKind.MEMBERSHIP_THEN_ES))
-    m = np.array([r.apfdv.m for r in report.rows])
-    n = np.array([r.apfdv.n for r in report.rows])
-    primary = order_key(OrderKind.MEMBERSHIP_THEN_ES, m, n)[0]
-    zeros = primary[primary == 0.0]
-    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+def test_zero_primary_family_meets_both_signed_zeros(monkeypatch):
+    # Both aggregators give an all-zero membership row +0.0, so the sort meets
+    # -0.0 == 0.0 through a kernel that negates the zero memberships of every
+    # other row, as the geometric operator's sqrt(-0.0) once did.
+    order = OrderKind.MEMBERSHIP_THEN_ES
+    kernel = decision.pfwa_table
+
+    def signed(m, n, weights, aggregator):
+        out_m, out_n = kernel(m, n, weights, aggregator)
+        return np.where((out_m == 0.0) & (np.arange(len(out_m)) % 2 == 0), -0.0, out_m), out_n
+
+    s = _zero_table()
+    for aggregator in Aggregator:
+        config = DecisionConfig(aggregator=aggregator, ranking_order=order)
+        assert not any(np.signbit(r.apfdv.m) for r in decide_single(s, config).rows)
+        with monkeypatch.context() as patched:
+            patched.setattr(decision, "pfwa_table", signed)
+            report = decide_single(s, config)
+        m = np.array([r.apfdv.m for r in report.rows])
+        n = np.array([r.apfdv.n for r in report.rows])
+        zeros = order_key(order, m, n)[0][m == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        assert [r.rank for r in report.rows] == reference_ranks(s.universe, m, n, order)
 
 
 def test_row_contract(table1, table2):

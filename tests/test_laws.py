@@ -33,7 +33,12 @@ from phisoft import (
     whole_set,
 )
 from phisoft.errors import InvalidPFN
-from phisoft.pfn import order_key
+from phisoft.pfn import COMPARE_EPS, PFNArray, order_key
+
+
+def _sample_pfns(rng, count):
+    """`laws._sample_points` as PFNs, as the per-case suites drew them."""
+    return list(map(PFN, *laws._sample_points(rng, count).T.tolist()))
 
 
 def test_all_suites_pass_on_a_short_run():
@@ -51,8 +56,8 @@ def test_same_seed_same_report():
 
 
 def test_different_seeds_draw_different_cases():
-    one = laws._sample_pfns(np.random.default_rng(1), 10)
-    two = laws._sample_pfns(np.random.default_rng(2), 10)
+    one = _sample_pfns(np.random.default_rng(1), 10)
+    two = _sample_pfns(np.random.default_rng(2), 10)
     assert one != two
 
 
@@ -165,7 +170,7 @@ def _map_set(s, f, uv):
 
 
 def _reference_chains(rng, cases):
-    pool = laws._sample_pfns(rng, _POOL * cases)
+    pool = _sample_pfns(rng, _POOL * cases)
     uv = rng.random((cases, 2 * _POOL, 2))
     for i in range(cases):
         b = _softset_from(pool[_POOL * i : _POOL * (i + 1)])
@@ -191,7 +196,7 @@ def reference_subset_suite(rng, cases):
 
 def reference_identities_suite(rng, cases):
     null, whole = null_set(_UNIVERSE, _NAMES), whole_set(_UNIVERSE, _NAMES)
-    pool = laws._sample_pfns(rng, _POOL * cases)
+    pool = _sample_pfns(rng, _POOL * cases)
     for i in range(cases):
         x = _softset_from(pool[_POOL * i : _POOL * (i + 1)])
         if i % 2 == 0:
@@ -349,7 +354,7 @@ def reference_geometric_suite(rng, cases):
     of the first failing case, or (None, None).  It stops drawing there."""
     for i in range(cases):
         k = int(rng.integers(1, 9))
-        values = laws._sample_pfns(rng, k)
+        values = _sample_pfns(rng, k)
         raw = rng.uniform(1e-3, 1.0, k)
         weights = WeightVector(tuple(float(w) for w in raw / raw.sum()))
         closed = laws.pfwa_geometric(values, weights)
@@ -429,6 +434,158 @@ class TestBatchedGeometricSuite:
             first.append(index)
         assert max(first) > 0
 
+    def test_a_short_first_batch_is_refilled_as_the_reference_refills_it(self):
+        seed, cases = 5, 400
+        rng = np.random.default_rng(seed)
+        for j in range(cases):  # the state before the first batch of case j
+            size = int(rng.integers(1, 9))
+            if j >= 300 and size >= 2:  # past the suite's first chunk of cases
+                target = rng.bit_generator.state
+                break
+            laws._sample_points(rng, size)
+            rng.uniform(1e-3, 1.0, size)
+        suite_rng, ref_rng = PushedOut(seed, target), PushedOut(seed, target)
+        result = self.suite(suite_rng, cases)
+        index, counterexample = reference_geometric_suite(ref_rng, cases)
+        assert result.ok and index is None
+        assert suite_rng.bit_generator.state == ref_rng.bit_generator.state
+        # the reference refills case j once; the suite draws its batch, finds
+        # it short, and draws it again with the refill
+        assert (ref_rng.hits, ref_rng.refills) == (1, 1)
+        assert (suite_rng.hits, suite_rng.refills) == (2, 1)
+
+
+class PushedOut:
+    """A Generator whose point batch drawn at state `target` lies outside the
+    disk but for its first point, so `_sample_points` must refill it.  It
+    counts such batches (`hits`) and the refill batches drawn right after
+    one (`refills`)."""
+
+    def __init__(self, seed, target):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self.target, self.hits, self.refills, self._after_hit = target, 0, 0, False
+
+    def integers(self, *args):
+        self._after_hit = False
+        return self._rng.integers(*args)
+
+    def uniform(self, *args):
+        self._after_hit = False
+        return self._rng.uniform(*args)
+
+    def random(self, size=None, out=None):
+        hit = self.bit_generator.state == self.target
+        self.refills += self._after_hit
+        self._after_hit = hit
+        batch = self._rng.random(size, out=out)
+        if hit:
+            self.hits += 1
+            batch[1:] = 0.75 + 0.25 * batch[1:]  # 0.75**2 + 0.75**2 > 1
+        return batch
+
+
+# --- the batched equal-score suite against its per-case reference ----------
+
+
+def reference_equal_score_suite(rng, cases):
+    """The per-case loop the batched suite replaced, measures looked up on
+    `laws` at call time.  It stops drawing at its first failing pair."""
+    name = "equal-score-tiebreaks-agree"
+    bases = _sample_pfns(rng, cases)
+    done = attempts = 0
+    while done < cases:
+        a = bases[attempts % len(bases)]
+        attempts += 1
+        if attempts > 40 * cases:
+            return laws.LawResult(name, cases, "sampling stalled")
+        b = None
+        for _ in range(32):
+            mb = float(rng.random())
+            nb2 = a.n * a.n + mb * mb - a.m * a.m
+            if 0.0 <= nb2 and mb * mb + nb2 <= 1.0:
+                b = PFN(mb, math.sqrt(nb2))
+                break
+        if b is None:
+            continue
+        done += 1
+        for x, y in ((a, b), (b, a)):
+            sf_eq = abs(laws.score(x) - laws.score(y)) <= COMPARE_EPS
+            es_eq = abs(laws.expectation_score(x) - laws.expectation_score(y)) <= COMPARE_EPS
+            conditions = (
+                sf_eq and laws.accuracy(x) <= laws.accuracy(y),
+                es_eq and x.m <= y.m,
+                es_eq and x.n <= y.n,
+                sf_eq and x.m <= y.m,
+                sf_eq and x.n <= y.n,
+            )
+            if any(conditions) != all(conditions):
+                return laws.LawResult(name, cases, f"x={x!r} y={y!r} -> {conditions}")
+    return laws.LawResult(name, cases)
+
+
+def _raised_on_hits(measure):
+    """`measure`, raised by 1 on the PFNs that hash to 0 mod 13; a float for a PFN."""
+    def wrong(x):
+        out = measure(x) + np.where(_hit(x), 1.0, 0.0)
+        return out if isinstance(x, PFNArray) else float(out)
+    return wrong
+
+
+class NeverEqual:
+    """A Generator whose doubles drawn one at a time or in a row are all 1.0,
+    which pairs with no base; it draws as many from `rng` as it hands out."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+
+    def random(self, size=None):
+        drawn = self._rng.random(size)
+        if size is None:
+            return 1.0
+        return drawn if np.ndim(drawn) > 1 else np.ones_like(drawn)
+
+
+class TestBatchedEqualScoreSuite:
+    suite = staticmethod(laws.equal_score_tiebreaks_agree)
+
+    def _against_reference(self, rng, ref_rng, cases):
+        result = self.suite(rng, cases)
+        assert result == reference_equal_score_suite(ref_rng, cases)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return result
+
+    @pytest.mark.parametrize("seed", [0, 9, 31, 2024])
+    def test_same_result_and_draws_as_the_reference(self, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert self._against_reference(rng, ref_rng, 400).ok
+
+    @pytest.mark.parametrize("measure", ["accuracy", "score"])
+    def test_a_measure_fault_stops_where_the_reference_stops(self, measure, monkeypatch):
+        unfaulted = []
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            self.suite(rng, 200)
+            unfaulted.append(rng.bit_generator.state)
+        monkeypatch.setattr(laws, measure, _raised_on_hits(getattr(laws, measure)))
+        for seed in range(6):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            result = self._against_reference(rng, ref_rng, 200)
+            assert not result.ok and result.counterexample.startswith("x=PFN(")
+            assert rng.bit_generator.state != unfaulted[seed]  # it stopped early
+
+    def test_a_generator_that_never_pairs_stalls_alike(self):
+        result = self._against_reference(NeverEqual(3), NeverEqual(3), 20)
+        assert result.counterexample == "sampling stalled"
+
+    def test_a_failure_at_the_first_pair_stops_there(self, monkeypatch):
+        monkeypatch.setattr(laws, "accuracy", lambda x: -x.m)  # reverses the first reading
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        result = self._against_reference(rng, ref_rng, 50)
+        # base 0, (0.976, 0.081), finds no pair in its 32 draws: pair 0 is base 1's
+        assert repr(_sample_pfns(np.random.default_rng(4), 2)[1]) in result.counterexample
+
 
 # --- the batched PFN suites against their per-case reference ---------------
 #
@@ -439,7 +596,7 @@ class TestBatchedGeometricSuite:
 
 
 def _reference_cases(rng, cases, points, scalars):
-    pfns = laws._sample_pfns(rng, points * cases)
+    pfns = _sample_pfns(rng, points * cases)
     alphas = laws._sample_alphas(rng, scalars * cases).tolist() if scalars else []
     for i in range(cases):
         yield i, (*pfns[points * i : points * (i + 1)], *alphas[scalars * i : scalars * (i + 1)])
@@ -635,27 +792,31 @@ class TestBatchedPfnSuites:
 
 
 def test_no_scalar_algebra_per_case(monkeypatch, table1, table2):
-    """The suites but equal-score-tiebreaks-agree build the same number of
-    PFNs through the algebra at 200 as at 400 cases: only their replays use
-    the scalar API.  `decide` builds none."""
-    built = []
-    of_kind = pfn._of_kind
+    """Every suite builds the same number of PFNs at 200 as at 400 cases:
+    only its replays use the scalar API.  `decide` builds none through the
+    algebra."""
+    built, of_kind = [], pfn._of_kind
+    post_init = PFN.__post_init__
 
-    def counted(x, m, n):
+    def counted_post_init(self):
+        built.append("PFN")
+        post_init(self)
+
+    def counted_of_kind(x, m, n):
         out = of_kind(x, m, n)
-        built.append(type(out) is PFN)
+        built.append("_of_kind" if type(out) is PFN else "array")
         return out
 
-    monkeypatch.setattr(pfn, "_of_kind", counted)
+    monkeypatch.setattr(PFN, "__post_init__", counted_post_init)
+    monkeypatch.setattr(pfn, "_of_kind", counted_of_kind)
 
-    def count(run):
+    def count(run, kind):
         built.clear()
         run()
-        return sum(built)
+        return built.count(kind)
 
     for law in laws.ALL_LAWS:
-        if law is not laws.equal_score_tiebreaks_agree:
-            small, large = (count(lambda c=c: law(np.random.default_rng(8), c)) for c in (200, 400))
-            assert small == large, law.__name__
-    assert count(lambda: laws.equal_score_tiebreaks_agree(np.random.default_rng(8), 200)) == 0
-    assert count(lambda: decide(table1, table2)) == 0 and built  # the arrays went through it
+        small, large = (count(lambda c=c: law(np.random.default_rng(8), c), "PFN") for c in (200, 400))
+        assert small == large, law.__name__
+    assert count(lambda: decide(table1, table2), "_of_kind") == 0
+    assert "array" in built  # the arrays went through it
