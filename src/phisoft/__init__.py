@@ -24,7 +24,6 @@ from .decision import (
     decide_single,
 )
 from .io import emit_csv, emit_json, parse_csv, parse_json
-from .laws import run_all as run_law_suites
 from .pfn import (
     COMPARE_EPS,
     VALIDITY_EPS,
@@ -108,7 +107,6 @@ __all__ = [
     "power",
     "restricted_intersection",
     "restricted_union",
-    "run_law_suites",
     "scalar_mul",
     "score",
     "weights_from_importances",

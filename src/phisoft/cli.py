@@ -10,7 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import laws
 from .aggregation import weights_from_importances
 from .decision import (
     _COMBINE,
@@ -101,8 +100,11 @@ def positive_int(text: str) -> int:
 
 
 def _cmd_laws(args) -> int:
-    results = laws.run_all(cases=args.cases, seed=args.seed)
-    sys.stdout.write(laws.render_report(results, args.seed))
+    from . import laws  # the other subcommands never load the suites
+
+    seed = laws.DEFAULT_SEED if args.seed is None else args.seed
+    results = laws.run_all(cases=args.cases or laws.DEFAULT_CASES, seed=seed)
+    sys.stdout.write(laws.render_report(results, seed))
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -139,8 +141,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("laws", help="run the randomized law suites")
-    p.add_argument("--cases", type=positive_int, default=laws.DEFAULT_CASES)
-    p.add_argument("--seed", type=int, default=laws.DEFAULT_SEED)
+    # no defaults here: laws.DEFAULT_CASES and DEFAULT_SEED, read when the suites load
+    p.add_argument("--cases", type=positive_int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_laws)
 
     return parser

@@ -24,8 +24,8 @@ from .pfn import (
     complement, expectation_score, join, meet, mul_p, order_key, power, scalar_mul, score, valid,
 )
 from .softset import (
-    PhiSoftSet, build, equals, extended_intersection, extended_union, is_subset, null_set,
-    restricted_intersection, restricted_union, whole_set,
+    PhiSoftSet, build, check_cells, equals, extended_intersection, extended_union, is_subset,
+    null_set, restricted_intersection, restricted_union, whole_set,
 )
 
 DEFAULT_CASES = 10_000
@@ -155,9 +155,9 @@ def membership_then_es_is_partial_order(x, y, z):
     """Reflexive, antisymmetric, and transitive on random triples."""
     yield below(x, x, _M_ES), lambda _: f"not reflexive at x={x!r}"
     for a, b in ((x, y), (y, z), (x, z)):
-        # compare(b, a) is compare(a, b) reversed unless the pair is incomparable
-        comparable = below(a, b, _M_ES) | below(b, a, _M_ES)
-        yield comparable, lambda _: f"not antisymmetric: a={a!r} b={b!r}"
+        (pa, ta), (pb, tb) = order_key(_M_ES, a.m, a.n), order_key(_M_ES, b.m, b.n)
+        mutual = below(a, b, _M_ES) & below(b, a, _M_ES)
+        yield mutual <= ((pa == pb) & (ta == tb)), lambda _: f"not antisymmetric: a={a!r} b={b!r}"
     lo, mid, hi = _by_key(x, y, z)
     transitive = _not_greater(lo, mid) & _not_greater(mid, hi) & _not_greater(lo, hi)
     yield transitive, lambda _: f"not transitive on {x!r}, {y!r}, {z!r}"
@@ -332,11 +332,11 @@ def geometric_closed_form_matches_fold(rng, cases: int) -> LawResult:
 
 
 # The set suites check 2 x 2 sets, every case at once.  The cases' tables
-# are stacked, (cases, 3, 2) per component, and go through softset's own
-# lattice kernels (looked up at call time), laid out by the same
-# `softset._layout` that aligns two sets for `is_subset`, `equals` and
-# `_combine`.  Case 0 and the first failing case are then built and checked
-# through the public API, which words the counterexample.
+# are stacked into one (cases, 3, 2) PFNArray, validated by `check_cells`, and
+# go through what `is_subset`, `equals` and `_combine` use, looked up on
+# `softset` at call time: `_dominated`, `_close`, `join` and `meet`, on tables
+# laid out by `_layout`.  Case 0 and the first failing case are then built
+# and checked through the public API, which words the counterexample.
 _UNIVERSE = ("a1", "a2")
 _NAMES = ("c1", "c2")
 _POOL = len(_NAMES) * (1 + len(_UNIVERSE))
@@ -347,10 +347,10 @@ _FROM_POOL = [2, 4, 3, 5, 0, 1]
 _FROM_UV = [2, 3, 4, 5, 0, 1]
 
 
-def _stack(values: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, n) tables of `values`, _POOL pairs per case, in `order`."""
+def _stack(values: np.ndarray, order) -> PFNArray:
+    """The tables of `values`, _POOL (m, n) pairs per case, in `order`."""
     tables = values.reshape(-1, _POOL, 2)[:, order].reshape(-1, len(_UNIVERSE) + 1, len(_NAMES), 2)
-    return tables[..., 0], tables[..., 1]
+    return PFNArray(tables[..., 0], tables[..., 1])
 
 
 def _case(m: np.ndarray, n: np.ndarray, i: int) -> PhiSoftSet:
@@ -358,15 +358,6 @@ def _case(m: np.ndarray, n: np.ndarray, i: int) -> PhiSoftSet:
     *rows, importances = (list(zip(rm, rn)) for rm, rn in zip(m[i].tolist(), n[i].tolist()))
     cells = dict(zip(product(_UNIVERSE, _NAMES), (pair for row in rows for pair in row)))
     return build(_UNIVERSE, zip(_NAMES, importances), cells)
-
-
-def _checked(m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked tables that pass `check_cells`' test; otherwise the first bad
-    case is built, so `build` raises its located InvalidPFN."""
-    bad = ~valid(PFNArray(m, n)).all(axis=(-2, -1))
-    if bad.any():
-        _case(m, n, int(bad.argmax()))
-    return m, n
 
 
 def _first_failure(failed: np.ndarray, replay) -> tuple[int | None, str | None]:
@@ -413,40 +404,45 @@ def combination_identities(rng, cases: int) -> LawResult:
     Cases alternate between the extended and the restricted operators.
     """
     null, whole = null_set(_UNIVERSE, _NAMES), whole_set(_UNIVERSE, _NAMES)
-    x = _checked(*_stack(_sample_points(rng, _POOL * cases), _FROM_POOL))
-    lo, hi = (null.table_m, null.table_n), (whole.table_m, whole.table_n)
+    x = _stack(_sample_points(rng, _POOL * cases), _FROM_POOL)
+    check_cells(*x, _UNIVERSE, _NAMES)
+    lo, hi = PFNArray(null.table_m, null.table_n), PFNArray(whole.table_m, whole.table_n)
     # x, null and whole list the same alternatives and parameters in the same
     # order, so `_combine` pairs each column of its first operand with the
-    # same column of its second: the kernels on whole tables are what it computes.
-    join, meet, close = softset._join, softset._meet, softset._close
-    ok = close(*join(*x, *x), *x) & close(*meet(*x, *x), *x)
-    ok &= close(*join(*x, *lo), *x) & close(*meet(*x, *lo), *lo)
-    ok &= close(*join(*x, *hi), *hi) & close(*meet(*x, *hi), *x)
+    # same column of its second: join and meet of whole tables are what it computes.
+    join, meet, close = softset.join, softset.meet, softset._close
+    ok = close(join(x, x), x) & close(meet(x, x), x)
+    ok &= close(join(x, lo), x) & close(meet(x, lo), lo)
+    ok &= close(join(x, hi), hi) & close(meet(x, hi), x)
     replay = lambda i: _identities_case(_case(*x, i), i, null, whole)  # noqa: E731
     return _replayed("combination-identities", cases, ~ok, replay)
 
 
-def _shrunk(m: np.ndarray, n: np.ndarray, u: np.ndarray, v: np.ndarray):
+def _shrunk(m: np.ndarray, n: np.ndarray, u: np.ndarray, v: np.ndarray) -> PFNArray:
     """Tables lattice-below (m, n): memberships shrink, non-memberships grow."""
     sm = m * u
     n2 = n * n + v * (1.0 - sm * sm - n * n)
     # the maximum guards the <= comparisons against sqrt round-off
-    return sm, np.maximum(n, np.sqrt(np.maximum(0.0, np.minimum(1.0, n2))))
+    return PFNArray(sm, np.maximum(n, np.sqrt(np.maximum(0.0, np.minimum(1.0, n2)))))
 
 
-def _grown(m: np.ndarray, n: np.ndarray, u: np.ndarray, v: np.ndarray):
+def _grown(m: np.ndarray, n: np.ndarray, u: np.ndarray, v: np.ndarray) -> PFNArray:
     """Tables lattice-above (m, n)."""
     gn = n * u
     m2 = m * m + v * (1.0 - m * m - gn * gn)
-    return np.maximum(m, np.sqrt(np.maximum(0.0, np.minimum(1.0, m2)))), gn
+    return PFNArray(np.maximum(m, np.sqrt(np.maximum(0.0, np.minimum(1.0, m2)))), gn)
 
 
-def _chain(rng, cases: int):
-    """Stacked (m, n) tables b, then a below and c above b, per case."""
-    b = _checked(*_stack(_sample_points(rng, _POOL * cases), _FROM_POOL))
+def _chain(rng, cases: int) -> tuple[PFNArray, PFNArray, PFNArray]:
+    """Stacked tables b, then a below and c above b, per case, each checked
+    by `check_cells`."""
+    b = _stack(_sample_points(rng, _POOL * cases), _FROM_POOL)
     uv = rng.random((cases, 2 * _POOL, 2))
-    a = _checked(*_shrunk(*b, *_stack(uv[:, :_POOL], _FROM_UV)))
-    return b, a, _checked(*_grown(*b, *_stack(uv[:, _POOL:], _FROM_UV)))
+    a = _shrunk(*b, *_stack(uv[:, :_POOL], _FROM_UV))
+    c = _grown(*b, *_stack(uv[:, _POOL:], _FROM_UV))
+    for tables in (b, a, c):
+        check_cells(*tables, _UNIVERSE, _NAMES)
+    return b, a, c
 
 
 def _permuted(s: PhiSoftSet) -> PhiSoftSet:
@@ -477,9 +473,9 @@ def subset_is_transitive_and_antisymmetric(rng, cases: int) -> LawResult:
     p = softset._layout(b0, p0.universe, p0.parameter_names, b)  # the permuted tables
     p_as_b = softset._layout(p0, b0.universe, b0.parameter_names, p)
     dominated, close = softset._dominated, softset._close
-    ok = dominated(*a, *b) & dominated(*b, *c) & dominated(*a, *c)
-    ok &= dominated(*b, *p_as_b) & dominated(*p, *p) & close(*b, *p_as_b)
-    ok &= close(*a, *c) | ~dominated(*c, *a)
+    ok = dominated(a, b) & dominated(b, c) & dominated(a, c)
+    ok &= dominated(b, p_as_b) & dominated(p, p) & close(b, p_as_b)
+    ok &= close(a, c) | ~dominated(c, a)
     replay = lambda i: _subset_case(*(_case(*t, i) for t in (b, a, c)))  # noqa: E731
     return _replayed("subset-is-transitive-and-antisymmetric", cases, ~ok, replay)
 

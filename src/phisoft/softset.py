@@ -34,8 +34,6 @@ from .errors import (
 )
 from .pfn import PFN, OrderKind, PFNArray, below, close, join, meet, valid
 
-PFNLike = PFN | tuple
-
 
 @dataclass(frozen=True, slots=True)
 class PFParameter:
@@ -188,19 +186,20 @@ def _reject(value, alts, names, i: int, j: int, where: str = "") -> None:
 
 
 def check_cells(m: np.ndarray, n: np.ndarray, alts, names, locate=None) -> None:
-    """Raise InvalidPFN for the first entry, row-major, of an (A + 1) x P table
-    that is not a valid PFN.  The test is PFN's own, over whole arrays;
-    `locate(i, j)`, if given, says where entry (i, j) sits in the input."""
+    """Raise InvalidPFN for the first entry, row-major, of an (A + 1) x P table,
+    or of the first such table of a stack, that is not a valid PFN.  The test
+    is PFN's own, over whole arrays; `locate(i, j)`, if given, says where
+    entry (i, j) sits in the input."""
     ok = valid(PFNArray(m, n))
     if not ok.all():
-        i, j = (int(k) for k in np.argwhere(~ok)[0])
-        _reject((m.item(i, j), n.item(i, j)), alts, names, i, j, locate(i, j) if locate else "")
+        *_, i, j = entry = tuple(int(k) for k in np.argwhere(~ok)[0])
+        _reject((m.item(entry), n.item(entry)), alts, names, i, j, locate(i, j) if locate else "")
 
 
 def build(
     universe: Iterable[str],
     parameters: Iterable[PFParameter | tuple],
-    cells: Mapping[tuple[str, str], PFNLike],
+    cells: Mapping[tuple[str, str], PFN | tuple],
 ) -> PhiSoftSet:
     """Validate and assemble a soft set.
 
@@ -247,8 +246,8 @@ def build(
     return PhiSoftSet(alts, names, m, n)
 
 
-def _layout(s: PhiSoftSet, universe, names, tables=None) -> tuple[np.ndarray, np.ndarray]:
-    """s's (m, n) tables, or stacks of `tables` laid out as s's, with rows in
+def _layout(s: PhiSoftSet, universe, names, tables: PFNArray | None = None) -> PFNArray:
+    """s's table, or a stack of `tables` laid out as s's, with rows in
     `universe` order (importance row last) and columns in `names` order.  The
     last two axes are gathered, so a stack of tables lays out alike.
 
@@ -261,31 +260,23 @@ def _layout(s: PhiSoftSet, universe, names, tables=None) -> tuple[np.ndarray, np
     rows = [row_of[alt] for alt in universe] + [len(row_of)]
     cols = [col_of[name] for name in names]
     m, n = tables or (s.table_m, s.table_n)
-    return m.take(rows, axis=-2).take(cols, axis=-1), n.take(rows, axis=-2).take(cols, axis=-1)
+    return PFNArray(
+        m.take(rows, axis=-2).take(cols, axis=-1), n.take(rows, axis=-2).take(cols, axis=-1)
+    )
 
 
-# The lattice kernels.  Each takes the (m, n) tables of a and of b, aligned,
-# and works on the last two axes, so it serves one table or a stack of them.
+# The per-table reductions.  Each takes two aligned tables, or stacks of them,
+# and reduces `pfn`'s entrywise test over the last two axes.
 
 
-def _dominated(am, an, bm, bn) -> np.ndarray:
+def _dominated(a: PFNArray, b: PFNArray) -> np.ndarray:
     """Per table: whether every entry of a is lattice-below b's."""
-    return below(PFNArray(am, an), PFNArray(bm, bn), OrderKind.LATTICE).all(axis=(-2, -1))
+    return below(a, b, OrderKind.LATTICE).all(axis=(-2, -1))
 
 
-def _close(am, an, bm, bn) -> np.ndarray:
+def _close(a: PFNArray, b: PFNArray) -> np.ndarray:
     """Per table: whether every component of a is within COMPARE_EPS of b's."""
-    return close(PFNArray(am, an), PFNArray(bm, bn)).all(axis=(-2, -1))
-
-
-def _join(am, an, bm, bn) -> PFNArray:
-    """Entrywise lattice join: (max m, min n)."""
-    return join(PFNArray(am, an), PFNArray(bm, bn))
-
-
-def _meet(am, an, bm, bn) -> PFNArray:
-    """Entrywise lattice meet: (min m, max n)."""
-    return meet(PFNArray(am, an), PFNArray(bm, bn))
+    return close(a, b).all(axis=(-2, -1))
 
 
 def is_subset(a: PhiSoftSet, b: PhiSoftSet) -> bool:
@@ -296,10 +287,10 @@ def is_subset(a: PhiSoftSet, b: PhiSoftSet) -> bool:
     matching one of `b`.
     """
     try:
-        bm, bn = _layout(b, a.universe, a.parameter_names)
+        b_table = _layout(b, a.universe, a.parameter_names)
     except KeyError:
         return False
-    return bool(_dominated(a.table_m, a.table_n, bm, bn))
+    return bool(_dominated(PFNArray(a.table_m, a.table_n), b_table))
 
 
 def equals(a: PhiSoftSet, b: PhiSoftSet) -> bool:
@@ -311,15 +302,15 @@ def equals(a: PhiSoftSet, b: PhiSoftSet) -> bool:
     if len(a.parameter_names) != len(b.parameter_names):
         return False
     try:
-        bm, bn = _layout(b, a.universe, a.parameter_names)
+        b_table = _layout(b, a.universe, a.parameter_names)
     except KeyError:
         return False
-    return bool(_close(a.table_m, a.table_n, bm, bn))
+    return bool(_close(PFNArray(a.table_m, a.table_n), b_table))
 
 
 def _combine(a: PhiSoftSet, b: PhiSoftSet, union: bool, extended: bool) -> PhiSoftSet:
     try:
-        bm, bn = _layout(b, a.universe, b.parameter_names)
+        b_table = _layout(b, a.universe, b.parameter_names)
     except KeyError:
         raise UniverseMismatch(
             f"universes differ: {sorted(a.universe)} vs {sorted(b.universe)}"
@@ -335,11 +326,12 @@ def _combine(a: PhiSoftSet, b: PhiSoftSet, union: bool, extended: bool) -> PhiSo
     wide = len(a_cols)
     of_a = [a_cols[name] if name in a_cols else wide + b_cols[name] for name in names]
     of_b = [wide + b_cols[name] if name in b_cols else a_cols[name] for name in names]
-    tables = np.concatenate((a.table_m, bm), axis=1), np.concatenate((a.table_n, bn), axis=1)
-    a_side, b_side = ([t.take(cols, axis=1) for t in tables] for cols in (of_a, of_b))
+    m = np.concatenate((a.table_m, b_table.m), axis=1)
+    n = np.concatenate((a.table_n, b_table.n), axis=1)
+    a_side, b_side = (PFNArray(m.take(cols, axis=1), n.take(cols, axis=1)) for cols in (of_a, of_b))
     # Join and meet of valid PFNs are valid, so the result needs no checks.
-    lattice = _join if union else _meet
-    return PhiSoftSet(a.universe, tuple(names), *lattice(*a_side, *b_side))
+    lattice = join if union else meet
+    return PhiSoftSet(a.universe, tuple(names), *lattice(a_side, b_side))
 
 
 def extended_union(a: PhiSoftSet, b: PhiSoftSet) -> PhiSoftSet:

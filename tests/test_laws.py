@@ -245,12 +245,12 @@ def _sometimes_wrong(kernel):
     inside a stack, so the fault hits each check on cases of its own.
     """
 
-    def wrong(am, an, bm, bn):
-        key = sum((t * 2**20).astype(np.int64) * w for t, w in zip((am, an, bm, bn), (1, 3, 5, 7)))
+    def wrong(a, b):
+        key = sum((t * 2**20).astype(np.int64) * w for t, w in zip((*a, *b), (1, 3, 5, 7)))
         hit = key.sum(axis=(-2, -1)) % 13 == 0
-        out = kernel(am, an, bm, bn)
-        if isinstance(out, tuple):  # a join or meet: halve the memberships
-            return np.where(hit[..., None, None], out[0] * 0.5, out[0]), out[1]
+        out = kernel(a, b)
+        if isinstance(out, PFNArray):  # a join or meet: halve the memberships
+            return PFNArray(np.where(hit[..., None, None], out.m * 0.5, out.m), out.n)
         return out ^ hit
 
     return wrong
@@ -276,10 +276,10 @@ class TestBatchedSetSuites:
         ("broken", "first_failure"),
         [
             # >= lets no table be a subset of itself
-            (lambda am, an, bm, bn: ~((am >= bm) | (an < bn)).any(axis=(-2, -1)),
+            (lambda a, b: ~((a.m >= b.m) | (a.n < b.n)).any(axis=(-2, -1)),
              "mutual subset broken"),
             # every table a subset of every other
-            (lambda am, an, bm, bn: np.ones(np.broadcast(am, bm).shape[:-2], bool),
+            (lambda a, b: np.ones(np.broadcast(a.m, b.m).shape[:-2], bool),
              "order collapsed"),
         ],
         ids=["strict", "always"],
@@ -298,7 +298,7 @@ class TestBatchedSetSuites:
     @pytest.mark.parametrize(
         ("suite", "kernel"),
         [(laws.subset_is_transitive_and_antisymmetric, k) for k in ("_dominated", "_close")]
-        + [(laws.combination_identities, k) for k in ("_close", "_join", "_meet")],
+        + [(laws.combination_identities, k) for k in ("_close", "join", "meet")],
         ids=["subset-dominated", "subset-close", "identities-close", "join", "meet"],
     )
     def test_a_fault_on_some_cases_is_reported_alike(self, suite, kernel, monkeypatch):
@@ -312,9 +312,9 @@ class TestBatchedSetSuites:
 
     @pytest.mark.parametrize("suite", list(REFERENCES), ids=lambda f: f.__name__)
     def test_swapped_join_and_meet_are_reported_alike(self, suite, monkeypatch):
-        join, meet = softset._join, softset._meet
-        monkeypatch.setattr(softset, "_join", meet)
-        monkeypatch.setattr(softset, "_meet", join)
+        join, meet = softset.join, softset.meet
+        monkeypatch.setattr(softset, "join", meet)
+        monkeypatch.setattr(softset, "meet", join)
         result, index, counterexample = _against_reference(suite, 5, 300)
         if suite is laws.subset_is_transitive_and_antisymmetric:  # combines nothing
             assert result.ok and index is None
@@ -324,8 +324,8 @@ class TestBatchedSetSuites:
 
     @pytest.mark.parametrize("suite", list(REFERENCES), ids=lambda f: f.__name__)
     def test_a_broken_closeness_kernel_is_reported_alike(self, suite, monkeypatch):
-        def never(am, an, bm, bn):
-            return np.zeros(np.broadcast(am, bm).shape[:-2], bool)
+        def never(a, b):
+            return np.zeros(np.broadcast(a.m, b.m).shape[:-2], bool)
 
         monkeypatch.setattr(softset, "_close", never)
         result, index, counterexample = _against_reference(suite, 5, 300)
@@ -337,7 +337,20 @@ class TestBatchedSetSuites:
         m, n = (t.copy() for t in laws._stack(pool, laws._FROM_POOL))
         m[1, -1, 1] = 1.5  # case 1's importance of c2
         with pytest.raises(InvalidPFN, match=r"importance of 'c2': degrees must lie in \[0, 1\]"):
-            laws._checked(m, n)
+            softset.check_cells(m, n, laws._UNIVERSE, laws._NAMES)
+
+    def test_a_stack_names_the_first_bad_entry_of_its_first_bad_table_as_build_does(self):
+        pool = laws._sample_points(np.random.default_rng(2), 4 * _POOL)
+        m, n = (t.copy() for t in laws._stack(pool, laws._FROM_POOL))
+        m[1, 1, 0] = n[1, 1, 0] = 0.9  # case 1's cell (a2, c1): not Pythagorean
+        m[1, -1, 0] = 1.5  # a later entry of case 1, its importance of c1
+        m[2, 0, 0] = 1.5  # an earlier entry, of a later case
+        with pytest.raises(InvalidPFN) as built:
+            laws._case(m, n, 1)
+        with pytest.raises(InvalidPFN) as checked:
+            softset.check_cells(m, n, laws._UNIVERSE, laws._NAMES)
+        assert str(checked.value) == str(built.value)
+        assert str(built.value).startswith("cell (a2, c1): m**2 + n**2 = ")
 
     def test_a_failure_only_the_batch_sees_is_reported(self):
         failed = np.array([False, False, True, True])
@@ -657,7 +670,9 @@ def reference_partial_order(rng, cases):
         if compare(x, x, _M_ES) is not Ordering.EQUAL:
             return i, f"not reflexive at x={x!r}"
         for a, b in ((x, y), (y, z), (x, z)):
-            if compare(b, a, _M_ES) is not Ordering(-compare(a, b, _M_ES).value):
+            if compare(a, b, _M_ES) is Ordering.EQUAL and (
+                order_key(_M_ES, a.m, a.n) != order_key(_M_ES, b.m, b.n)
+            ):
                 return i, f"not antisymmetric: a={a!r} b={b!r}"
         lo, mid, hi = sorted((x, y, z), key=lambda p: order_key(_M_ES, p.m, p.n))
         if (
@@ -760,6 +775,16 @@ def _flipped_on_hits(below):
     return wrong
 
 
+def _mutual_on_hits(below):
+    """`below`, true both ways on pairs whose hash, symmetric in the two, is
+    0 mod 13: such pairs tie whatever their keys."""
+    def wrong(a, b, order):
+        hit = np.asarray((a.m + b.m) * 2**20).astype(np.int64) % 13 == 0
+        out = hit | below(a, b, order)
+        return out if out.ndim else bool(out)
+    return wrong
+
+
 class TestBatchedPfnSuites:
     @pytest.mark.parametrize("suite", list(PFN_REFERENCES), ids=lambda f: f.__name__)
     @pytest.mark.parametrize("seed", [0, 9, 31])
@@ -783,6 +808,15 @@ class TestBatchedPfnSuites:
             first = [_against_pfn_reference(suite, seed, 200) for seed in range(8)]
             if suite is not laws.score_accuracy_agrees_with_es_then_membership:  # both orders flip
                 assert None not in first and max(first) > 0, suite.__name__
+
+    def test_a_tie_of_distinct_keys_is_reported_alike(self, monkeypatch):
+        mutual = _mutual_on_hits(pfn.below)
+        for module in (pfn, laws):
+            monkeypatch.setattr(module, "below", mutual)
+        suite = laws.membership_then_es_is_partial_order
+        first = [_against_pfn_reference(suite, seed, 200) for seed in range(8)]
+        assert None not in first and max(first) > 0
+        assert suite(np.random.default_rng(0), 200).counterexample.startswith("not antisymmetric: a=")
 
     def test_an_invalid_result_is_worded_by_the_constructor(self, monkeypatch):
         monkeypatch.setattr(laws, "add_p", _invalid_on_hits(laws.add_p))
