@@ -9,7 +9,6 @@ line print it and the test suite assert on it.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -201,48 +200,27 @@ def _readings(x, y):
     )
 
 
-def _doubles(rng, block: int):
-    """The doubles of rng.random(), drawn `block` at a time: the same stream."""
-    while True:
-        yield from rng.random(block).tolist()
-
-
-def _equal_score_scan(rng, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Attempt t tries up to 32 doubles mb for base t mod cases and keeps the
-    first that gives a point (mb, sqrt(nb2)) of the base's score, until there
-    are `cases` pairs or 40 * cases attempts.  Returns each pair's (mb, nb2)
-    and (base, doubles used up to it), and all the doubles used."""
-    cases = len(bases)
-    squares_m, squares_n = (bases * bases).T.tolist()
-    doubles = _doubles(rng, 1024)
-    values, counts = array("d"), array("q")  # no Python object per pair
-    drawn = 0
-    for attempt in range(40 * cases):
-        if len(values) == 2 * cases:
-            break
-        j = attempt % cases
-        bm2, bn2 = squares_m[j], squares_n[j]
-        for drawn, mb in zip(range(drawn + 1, drawn + 33), doubles):
-            nb2 = bn2 + mb * mb - bm2
-            if 0.0 <= nb2 and mb * mb + nb2 <= 1.0:
-                values.extend((mb, nb2))
-                counts.extend((j, drawn))
-                break
-    return np.array(values).reshape(-1, 2), np.array(counts).reshape(-1, 2), drawn
+def _partners(m, n, t) -> PFNArray:
+    """Points of the score s = m**2 - n**2 of each (m, n), whose memberships
+    lie at fraction t of the range that admits one, [sqrt(max(s, 0)),
+    sqrt((1 + s) / 2)].  The score is computed here, not by `score`, which a
+    test may replace."""
+    s = m * m - n * n
+    lo = np.sqrt(np.maximum(s, 0.0))
+    mb = lo + t * (np.sqrt((1.0 + s) / 2) - lo)
+    return PFNArray(mb, np.sqrt(np.maximum(n * n + mb * mb - m * m, 0.0)))
 
 
 def equal_score_tiebreaks_agree(rng, cases: int) -> LawResult:
     """On equal-score pairs the five tiebreak readings say the same thing.
 
+    Pair i is base i and its partner (`_partners`) at a uniform fraction,
+    so the partner's membership is uniform over those of the base's score.
     All pairs are checked at once, then pair 0 and the first failing pair
-    as PFNs.  The scan draws its doubles in blocks, so rng is then reset and
-    advanced by the doubles a pair-by-pair run draws up to where it stops."""
-    bases = _sample_points(rng, cases)
-    start = rng.bit_generator.state
-    values, counts, drawn = _equal_score_scan(rng, bases)
-    (mb, nb2), (picked, used) = values.T, counts.T
-    a, b = PFNArray(*bases[picked].T), PFNArray(mb, np.sqrt(nb2))
-    failed = np.zeros(len(picked), bool)
+    as PFNs."""
+    a = PFNArray(*_sample_points(rng, cases).T)
+    b = _partners(*a, rng.random(cases))
+    failed = np.zeros(cases, bool)
     for x, y in ((a, b), (b, a)):
         conditions = _readings(x, y)
         failed |= np.any(conditions, axis=0) != np.all(conditions, axis=0)
@@ -255,67 +233,28 @@ def equal_score_tiebreaks_agree(rng, cases: int) -> LawResult:
                 return f"x={x!r} y={y!r} -> {conditions}"
         return None
 
-    stop, counterexample = _first_failure(failed, replay)
-    rng.bit_generator.state = start
-    left = drawn if stop is None else int(used[stop])
-    while left:  # a stalled scan draws 1280 doubles per case
-        left -= len(rng.random(min(left, 1 << 16)))
-    if counterexample is None and len(picked) < cases:
-        counterexample = "sampling stalled"
-    return LawResult("equal-score-tiebreaks-agree", cases, counterexample)
-
-
-def _geometric_cases(rng, cases: int):
-    """Case i's length k[i] (1 to 8), points and weights, in row i of (cases,
-    8, 2) and (cases, 8) tables, drawn as per-case `integers`,
-    `_sample_points` and `uniform` calls draw them.  The loop makes only the
-    generator calls; the rejection test and the weight normalization run on
-    arrays.  A case whose first batch keeps fewer than k[i] points needs
-    `_sample_points`' refill, which shifts every later draw: its chunk of
-    cases is drawn again from the chunk's start, that case sampled in full."""
-    k, mn, w = np.empty(cases, np.intp), np.zeros((cases, 8, 2)), np.zeros((cases, 8))
-    chunk, refilled = 256, set()  # a chunk's table and its temporaries stay under 0.2 MB
-    for lo in range(0, cases, chunk):
-        start, hi = rng.bit_generator.state, min(lo + chunk, cases)
-        while True:
-            batches = np.ones((hi - lo, 24, 2))  # (1, 1) lies outside the disk
-            for i in range(lo, hi):
-                k[i] = size = int(rng.integers(1, 9))
-                if i in refilled:
-                    batches[i - lo, :size] = _sample_points(rng, size)
-                else:
-                    rng.random(out=batches[i - lo, : size + 16])
-                w[i, :size] = rng.uniform(1e-3, 1.0, size)
-            inside = batches[..., 0] ** 2 + batches[..., 1] ** 2 <= 1.0
-            rank = np.cumsum(inside, axis=1, dtype=np.int8)  # of each kept point, from 1
-            short = rank[:, -1] < k[lo:hi]
-            if not short.any():
-                break
-            refilled.update((lo + np.flatnonzero(short)).tolist())
-            rng.bit_generator.state = start
-        row, col = np.nonzero(inside & (rank <= k[lo:hi, None]))
-        mn[lo + row, rank[row, col] - 1] = batches[row, col]
-    for size in range(1, 9):
-        sel = k == size
-        raw = w[sel, :size]
-        w[sel, :size] = raw / raw.sum(axis=1, keepdims=True)
-    return k, mn, w
+    return _replayed("equal-score-tiebreaks-agree", cases, failed, replay)
 
 
 def geometric_closed_form_matches_fold(rng, cases: int) -> LawResult:
     """Closed-form weighted averaging equals the constructive add_p fold.
 
-    Case i is k[i] <= 8 PFNs and weights (`_geometric_cases`).  Every case's
-    closed form runs through `aggregation.pfwa_table` (looked up at call
-    time), one call per k, and every case is folded; case 0 and the first
-    failing case are then checked again through `pfwa_geometric`, which
-    words the counterexample.
+    Case i is the first k[i] (1 to 8) PFNs and weights of row i of (cases,
+    8) tables, its weights normalized to sum to 1.  Every case's closed form
+    runs through `aggregation.pfwa_table` (looked up at call time), one call
+    per k, and every case is folded; case 0 and the first failing case are
+    then checked again through `pfwa_geometric`, which words the
+    counterexample.
     """
-    k, mn, w = _geometric_cases(rng, cases)
+    k = rng.integers(1, 9, cases)
+    mn = _sample_points(rng, 8 * cases).reshape(cases, 8, 2)
+    w = rng.uniform(1e-3, 1.0, (cases, 8))
     closed_m, closed_n, folded_m, folded_n = np.empty((4, cases))
     for size in range(1, 9):
         sel = k == size
-        m, n, weights = mn[sel, :size, 0], mn[sel, :size, 1], w[sel, :size]
+        raw = w[sel, :size]
+        w[sel, :size] = weights = raw / raw.sum(axis=1, keepdims=True)
+        m, n = mn[sel, :size, 0], mn[sel, :size, 1]
         closed_m[sel], closed_n[sel] = aggregation.pfwa_table(m, n, weights, Aggregator.GEOMETRIC)
         folded_m[sel], folded_n[sel] = pfwa_fold(list(map(PFNArray, m.T, n.T)), weights.T)
     failed = (abs(closed_m - folded_m) > 1e-9) | (abs(closed_n - folded_n) > 1e-9)
@@ -360,23 +299,17 @@ def _case(m: np.ndarray, n: np.ndarray, i: int) -> PhiSoftSet:
     return build(_UNIVERSE, zip(_NAMES, importances), cells)
 
 
-def _first_failure(failed: np.ndarray, replay) -> tuple[int | None, str | None]:
-    """The first failing case and its counterexample, or (None, None), on
-    per-case batched `failed` flags.  `replay(i)` checks case i through the
-    public API and returns its counterexample or None; it runs on case 0 and
-    on the first flagged case."""
-    for i in sorted({0, int(failed.argmax())}) if len(failed) else ():
+def _replayed(name: str, cases: int, failed: np.ndarray, replay) -> LawResult:
+    """The verdict on per-case batched `failed` flags.  `replay(i)` checks
+    case i through the public API and returns its counterexample or None; it
+    runs on case 0 and on the first flagged case."""
+    for i in sorted({0, int(failed.argmax())}):
         counterexample = replay(i)
         if counterexample is None and failed[i]:
             counterexample = f"case {i} fails in the batched check only"
         if counterexample is not None:
-            return i, counterexample
-    return None, None
-
-
-def _replayed(name: str, cases: int, failed: np.ndarray, replay) -> LawResult:
-    """The verdict of `_first_failure`."""
-    return LawResult(name, cases, _first_failure(failed, replay)[1])
+            return LawResult(name, cases, counterexample)
+    return LawResult(name, cases)
 
 
 def _identities_case(x: PhiSoftSet, i: int, null: PhiSoftSet, whole: PhiSoftSet) -> str | None:

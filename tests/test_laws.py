@@ -18,6 +18,7 @@ from phisoft import (
     WeightVector,
     aggregation,
     build,
+    cli,
     compare,
     decide,
     equals,
@@ -67,20 +68,22 @@ def test_render_report_shows_counterexamples():
     assert "FAIL" in text and "a=1 b=2" in text
 
 
-# The report bytes and the generator's draw count are pinned, so a faster
-# suite must check the same cases with the same draws and say the same thing.
+# The report bytes are pinned, so a faster suite must check the same cases
+# and say the same thing.  So is where each suite leaves the generator: the
+# next rng.random() from a copy of it after each suite (seed 11, 300 cases).
+# A change to a suite's draw scheme re-pins that suite's entry and every later
+# one, and CHANGES.md says which entries moved and why.
 REPORT_SHA256 = {
     (17, 10_000): "3862c396cf8f52802b62c97d3fe926243e71d76ae5d98a9be71cae5bb6d2d63f",
     (5, 200): "467d10a469829afd749fbeb2bf6774750794daa21b9fa74566f18fdd093150e4",
     (123, 250): "e7b48dacee0af7ad61cb59e1d6dd8d7248a175506d197278fd1ef68ca58b59cc",
 }
 
-# rng.random() from a copy of the generator after each suite (seed 11, 300 cases).
 NEXT_DRAW_AFTER_SUITE = (
     0.2871234026761018, 0.053281726805650576, 0.7181105917240156, 0.30979924766415423,
     0.7774870732265046, 0.6864544984020294, 0.005006749516033748, 0.9120356275009477,
-    0.6409325542536529, 0.7919276563207154, 0.23969093962523336, 0.3981830107810702,
-    0.08583066799218741, 0.5025923762632546,
+    0.5496651235305401, 0.025322904035268823, 0.01696626254793354, 0.4997981952400955,
+    0.37682066988645224, 0.7172187686132081,
 )
 
 
@@ -90,13 +93,17 @@ def test_report_bytes_are_pinned(seed, cases):
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[seed, cases]
 
 
+def test_the_laws_command_prints_the_pinned_default_report(capsys):
+    assert cli.main(["laws"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[17, 10_000]
+
+
 def test_each_suite_draws_what_it_drew():
     rng = np.random.default_rng(11)
-    after = []
-    for law in laws.ALL_LAWS:
+    for law, pinned in zip(laws.ALL_LAWS, NEXT_DRAW_AFTER_SUITE, strict=True):
         law(rng, 300)
-        after.append(copy.deepcopy(rng).random())
-    assert tuple(after) == NEXT_DRAW_AFTER_SUITE
+        assert copy.deepcopy(rng).random() == pinned, f"{law.__name__} moved the draws"
 
 
 def test_suite_names_and_case_counts():
@@ -363,13 +370,15 @@ class TestBatchedSetSuites:
 
 
 def reference_geometric_suite(rng, cases):
-    """The per-case loop the batched suite replaced: (index, counterexample)
-    of the first failing case, or (None, None).  It stops drawing there."""
-    for i in range(cases):
-        k = int(rng.integers(1, 9))
-        values = _sample_pfns(rng, k)
-        raw = rng.uniform(1e-3, 1.0, k)
-        weights = WeightVector(tuple(float(w) for w in raw / raw.sum()))
+    """Case by case through the scalar API, on the draws the suite makes:
+    (index, counterexample) of the first failing case, or (None, None)."""
+    sizes = rng.integers(1, 9, cases).tolist()
+    points = laws._sample_points(rng, 8 * cases).reshape(cases, 8, 2)
+    raws = rng.uniform(1e-3, 1.0, (cases, 8))
+    for i, k in enumerate(sizes):
+        values = list(map(PFN, *points[i, :k].T.tolist()))
+        raw = raws[i, :k]
+        weights = WeightVector(tuple((raw / raw.sum()).tolist()))
         closed = laws.pfwa_geometric(values, weights)
         folded = laws.pfwa_fold(values, weights)
         if abs(closed.m - folded.m) > 1e-9 or abs(closed.n - folded.n) > 1e-9:
@@ -391,9 +400,8 @@ class TestBatchedGeometricSuite:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         result = self.suite(rng, cases)
         index, counterexample = reference_geometric_suite(ref_rng, cases)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert result.cases == cases
-        if index is None:  # the reference stops drawing at its first failure
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
         return result, index, counterexample
 
     @pytest.mark.parametrize("seed", [0, 9, 31, 2024])
@@ -447,81 +455,20 @@ class TestBatchedGeometricSuite:
             first.append(index)
         assert max(first) > 0
 
-    def test_a_short_first_batch_is_refilled_as_the_reference_refills_it(self):
-        seed, cases = 5, 400
-        rng = np.random.default_rng(seed)
-        for j in range(cases):  # the state before the first batch of case j
-            size = int(rng.integers(1, 9))
-            if j >= 300 and size >= 2:  # past the suite's first chunk of cases
-                target = rng.bit_generator.state
-                break
-            laws._sample_points(rng, size)
-            rng.uniform(1e-3, 1.0, size)
-        suite_rng, ref_rng = PushedOut(seed, target), PushedOut(seed, target)
-        result = self.suite(suite_rng, cases)
-        index, counterexample = reference_geometric_suite(ref_rng, cases)
-        assert result.ok and index is None
-        assert suite_rng.bit_generator.state == ref_rng.bit_generator.state
-        # the reference refills case j once; the suite draws its batch, finds
-        # it short, and draws it again with the refill
-        assert (ref_rng.hits, ref_rng.refills) == (1, 1)
-        assert (suite_rng.hits, suite_rng.refills) == (2, 1)
-
-
-class PushedOut:
-    """A Generator whose point batch drawn at state `target` lies outside the
-    disk but for its first point, so `_sample_points` must refill it.  It
-    counts such batches (`hits`) and the refill batches drawn right after
-    one (`refills`)."""
-
-    def __init__(self, seed, target):
-        self._rng = np.random.default_rng(seed)
-        self.bit_generator = self._rng.bit_generator
-        self.target, self.hits, self.refills, self._after_hit = target, 0, 0, False
-
-    def integers(self, *args):
-        self._after_hit = False
-        return self._rng.integers(*args)
-
-    def uniform(self, *args):
-        self._after_hit = False
-        return self._rng.uniform(*args)
-
-    def random(self, size=None, out=None):
-        hit = self.bit_generator.state == self.target
-        self.refills += self._after_hit
-        self._after_hit = hit
-        batch = self._rng.random(size, out=out)
-        if hit:
-            self.hits += 1
-            batch[1:] = 0.75 + 0.25 * batch[1:]  # 0.75**2 + 0.75**2 > 1
-        return batch
-
 
 # --- the batched equal-score suite against its per-case reference ----------
 
 
 def reference_equal_score_suite(rng, cases):
-    """The per-case loop the batched suite replaced, measures looked up on
-    `laws` at call time.  It stops drawing at its first failing pair."""
-    name = "equal-score-tiebreaks-agree"
+    """Pair by pair through the scalar API, on the draws the suite makes (a
+    base and a fraction per pair), measures looked up on `laws` at call time:
+    (index, counterexample) of the first failing pair, or (None, None)."""
     bases = _sample_pfns(rng, cases)
-    done = attempts = 0
-    while done < cases:
-        a = bases[attempts % len(bases)]
-        attempts += 1
-        if attempts > 40 * cases:
-            return laws.LawResult(name, cases, "sampling stalled")
-        b = None
-        for _ in range(32):
-            mb = float(rng.random())
-            nb2 = a.n * a.n + mb * mb - a.m * a.m
-            if 0.0 <= nb2 and mb * mb + nb2 <= 1.0:
-                b = PFN(mb, math.sqrt(nb2))
-                break
-        if b is None:
-            continue
-        done += 1
+    for i, (a, t) in enumerate(zip(bases, rng.random(cases).tolist())):
+        s = a.m * a.m - a.n * a.n
+        lo = math.sqrt(max(s, 0.0))
+        mb = lo + t * (math.sqrt((1.0 + s) / 2) - lo)
+        b = PFN(mb, math.sqrt(max(a.n * a.n + mb * mb - a.m * a.m, 0.0)))
         for x, y in ((a, b), (b, a)):
             sf_eq = abs(laws.score(x) - laws.score(y)) <= COMPARE_EPS
             es_eq = abs(laws.expectation_score(x) - laws.expectation_score(y)) <= COMPARE_EPS
@@ -533,8 +480,8 @@ def reference_equal_score_suite(rng, cases):
                 sf_eq and x.n <= y.n,
             )
             if any(conditions) != all(conditions):
-                return laws.LawResult(name, cases, f"x={x!r} y={y!r} -> {conditions}")
-    return laws.LawResult(name, cases)
+                return i, f"x={x!r} y={y!r} -> {conditions}"
+    return None, None
 
 
 def _raised_on_hits(measure):
@@ -545,59 +492,61 @@ def _raised_on_hits(measure):
     return wrong
 
 
-class NeverEqual:
-    """A Generator whose doubles drawn one at a time or in a row are all 1.0,
-    which pairs with no base; it draws as many from `rng` as it hands out."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.bit_generator = self._rng.bit_generator
-
-    def random(self, size=None):
-        drawn = self._rng.random(size)
-        if size is None:
-            return 1.0
-        return drawn if np.ndim(drawn) > 1 else np.ones_like(drawn)
+# Bases at the corners and edges of the quarter disk, and with scores within
+# 1e-6 of 1 and of -1, where the range of partner memberships is a point or
+# has an end at 0 or 1.
+EDGE_BASES = [
+    (1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (math.sqrt(0.5), math.sqrt(0.5)),
+    (math.sqrt(1 - 1e-7), 0.0), (math.sqrt(1 - 6e-7), math.sqrt(2e-7)), (1 - 1e-7, 1e-4),
+    (0.0, math.sqrt(1 - 1e-7)), (math.sqrt(2e-7), math.sqrt(1 - 6e-7)), (1e-4, 1 - 1e-7),
+]
 
 
 class TestBatchedEqualScoreSuite:
     suite = staticmethod(laws.equal_score_tiebreaks_agree)
 
-    def _against_reference(self, rng, ref_rng, cases):
+    def _against_reference(self, seed, cases):
+        """The suite's result, the reference's first failing pair and the
+        generator's state after both, checked to say the same and leave the
+        generator in the same state."""
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         result = self.suite(rng, cases)
-        assert result == reference_equal_score_suite(ref_rng, cases)
+        index, counterexample = reference_equal_score_suite(ref_rng, cases)
+        assert result.cases == cases and result.counterexample == counterexample
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        return result
+        return result, index, rng.bit_generator.state
 
     @pytest.mark.parametrize("seed", [0, 9, 31, 2024])
     def test_same_result_and_draws_as_the_reference(self, seed):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert self._against_reference(rng, ref_rng, 400).ok
+        result, _, _ = self._against_reference(seed, 400)
+        assert result.ok
+
+    def test_partners_at_the_edges_are_valid_and_keep_the_score(self):
+        bases = np.array(EDGE_BASES + laws._sample_points(np.random.default_rng(6), 200).tolist())
+        base = PFNArray(*bases.T)
+        assert pfn.valid(base).all()
+        for t in (0.0, 0.5, 1 - 2**-53):
+            partner = laws._partners(*base, np.full(len(bases), t))
+            assert pfn.valid(partner).all(), t
+            assert (abs(pfn.score(partner) - pfn.score(base)) <= COMPARE_EPS).all(), t
 
     @pytest.mark.parametrize("measure", ["accuracy", "score"])
     def test_a_measure_fault_stops_where_the_reference_stops(self, measure, monkeypatch):
-        unfaulted = []
-        for seed in range(6):
-            rng = np.random.default_rng(seed)
-            self.suite(rng, 200)
-            unfaulted.append(rng.bit_generator.state)
+        unfaulted = [self._against_reference(seed, 200)[2] for seed in range(6)]
         monkeypatch.setattr(laws, measure, _raised_on_hits(getattr(laws, measure)))
+        first = []
         for seed in range(6):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            result = self._against_reference(rng, ref_rng, 200)
+            result, index, state = self._against_reference(seed, 200)
             assert not result.ok and result.counterexample.startswith("x=PFN(")
-            assert rng.bit_generator.state != unfaulted[seed]  # it stopped early
-
-    def test_a_generator_that_never_pairs_stalls_alike(self):
-        result = self._against_reference(NeverEqual(3), NeverEqual(3), 20)
-        assert result.counterexample == "sampling stalled"
+            assert state == unfaulted[seed]  # a failure changes no draw
+            first.append(index)
+        assert max(first) > 0
 
     def test_a_failure_at_the_first_pair_stops_there(self, monkeypatch):
         monkeypatch.setattr(laws, "accuracy", lambda x: -x.m)  # reverses the first reading
-        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        result = self._against_reference(rng, ref_rng, 50)
-        # base 0, (0.976, 0.081), finds no pair in its 32 draws: pair 0 is base 1's
-        assert repr(_sample_pfns(np.random.default_rng(4), 2)[1]) in result.counterexample
+        result, index, _ = self._against_reference(4, 50)
+        assert index == 0  # pair 0 is base 0 with its partner
+        assert repr(_sample_pfns(np.random.default_rng(4), 1)[0]) in result.counterexample
 
 
 # --- the batched PFN suites against their per-case reference ---------------
