@@ -246,10 +246,9 @@ def build(
     return PhiSoftSet(alts, names, m, n)
 
 
-def _layout(s: PhiSoftSet, universe, names, tables: PFNArray | None = None) -> PFNArray:
-    """s's table, or a stack of `tables` laid out as s's, with rows in
-    `universe` order (importance row last) and columns in `names` order.  The
-    last two axes are gathered, so a stack of tables lays out alike.
+def _layout(s: PhiSoftSet, universe, names) -> PFNArray:
+    """s's table with rows in `universe` order (importance row last) and
+    columns in `names` order.
 
     Raises KeyError unless `universe` lists s's alternatives, in any order,
     or for a name s lacks.
@@ -259,14 +258,14 @@ def _layout(s: PhiSoftSet, universe, names, tables: PFNArray | None = None) -> P
         raise KeyError("the universes differ")
     rows = [row_of[alt] for alt in universe] + [len(row_of)]
     cols = [col_of[name] for name in names]
-    m, n = tables or (s.table_m, s.table_n)
+    m, n = s.table_m, s.table_n
     return PFNArray(
         m.take(rows, axis=-2).take(cols, axis=-1), n.take(rows, axis=-2).take(cols, axis=-1)
     )
 
 
-# The per-table reductions.  Each takes two aligned tables, or stacks of them,
-# and reduces `pfn`'s entrywise test over the last two axes.
+# The per-table reductions of two aligned tables (one of them from `_layout`)
+# or of the law suites' stacks: `pfn`'s entrywise test over the last two axes.
 
 
 def _dominated(a: PFNArray, b: PFNArray) -> np.ndarray:

@@ -33,7 +33,7 @@ from phisoft import (
     softset,
     whole_set,
 )
-from phisoft.errors import InvalidPFN
+from phisoft.errors import InvalidPFN, PhiSoftError
 from phisoft.pfn import COMPARE_EPS, PFNArray, order_key
 
 
@@ -122,6 +122,18 @@ def test_suite_names_and_case_counts():
     assert {r.cases for r in results} == {7}
 
 
+@pytest.mark.parametrize("cases", [0, -3])
+def test_a_case_count_below_one_is_refused_before_any_draw(cases):
+    with pytest.raises(PhiSoftError, match=rf"^cases must be at least 1, got {cases}$") as raised:
+        laws.run_all(cases, 1)
+    assert isinstance(raised.value, ValueError)
+    rng = np.random.default_rng(1)
+    for law in laws.ALL_LAWS:  # each suite called directly, as perfbench times them
+        with pytest.raises(type(raised.value), match=rf"^cases must be at least 1, got {cases}$"):
+            law(rng, cases)
+    assert rng.random() == np.random.default_rng(1).random()
+
+
 # `pfn_close` stand-ins that fail on some cases, so every identity suite
 # prints a counterexample, commute's with the prefix given.  The report
 # hashes were taken on the per-suite loops the identity table replaced.
@@ -151,9 +163,10 @@ _UNIVERSE, _NAMES, _POOL = laws._UNIVERSE, laws._NAMES, laws._POOL
 
 
 def _softset_from(pool):
+    """The set of a case's PFNs in table order: cells row by row, then importances."""
     it = iter(pool)
+    cells = {(alt, nm): next(it) for alt in _UNIVERSE for nm in _NAMES}
     params = [PFParameter(nm, next(it)) for nm in _NAMES]
-    cells = {(alt, nm): next(it) for nm in _NAMES for alt in _UNIVERSE}
     return build(_UNIVERSE, params, cells)
 
 
@@ -164,15 +177,14 @@ def _shrunk(value, u, v):
 
 
 def _grown(value, u, v):
-    n = value.n * u
-    m2 = value.m * value.m + v * (1.0 - value.m * value.m - n * n)
-    return PFN(max(value.m, math.sqrt(max(0.0, min(1.0, m2)))), n)
+    return pfn.complement(_shrunk(pfn.complement(value), u, v))
 
 
 def _map_set(s, f, uv):
+    """s with f applied entry by entry, in table order, to the uv pairs."""
     it = iter(uv)
-    params = [PFParameter(p.name, f(p.importance, *next(it))) for p in s.parameters]
     cells = {key: f(value, *next(it)) for key, value in s.cells.items()}
+    params = [PFParameter(p.name, f(p.importance, *next(it))) for p in s.parameters]
     return build(s.universe, params, cells)
 
 
@@ -341,14 +353,14 @@ class TestBatchedSetSuites:
 
     def test_an_invalid_stacked_entry_raises_the_located_error(self):
         pool = laws._sample_points(np.random.default_rng(2), 3 * _POOL)
-        m, n = (t.copy() for t in laws._stack(pool, laws._FROM_POOL))
+        m, n = (t.copy() for t in laws._stack(pool))
         m[1, -1, 1] = 1.5  # case 1's importance of c2
         with pytest.raises(InvalidPFN, match=r"importance of 'c2': degrees must lie in \[0, 1\]"):
             softset.check_cells(m, n, laws._UNIVERSE, laws._NAMES)
 
     def test_a_stack_names_the_first_bad_entry_of_its_first_bad_table_as_build_does(self):
         pool = laws._sample_points(np.random.default_rng(2), 4 * _POOL)
-        m, n = (t.copy() for t in laws._stack(pool, laws._FROM_POOL))
+        m, n = (t.copy() for t in laws._stack(pool))
         m[1, 1, 0] = n[1, 1, 0] = 0.9  # case 1's cell (a2, c1): not Pythagorean
         m[1, -1, 0] = 1.5  # a later entry of case 1, its importance of c1
         m[2, 0, 0] = 1.5  # an earlier entry, of a later case
@@ -541,6 +553,18 @@ class TestBatchedEqualScoreSuite:
             assert state == unfaulted[seed]  # a failure changes no draw
             first.append(index)
         assert max(first) > 0
+
+    def test_a_partner_off_the_disk_is_worded_by_the_constructor(self, monkeypatch):
+        partners = laws._partners
+
+        def off_disk(m, n, t):  # membership negated on hashed bases: same score and accuracy
+            p = partners(m, n, t)
+            return PFNArray(np.where(_hit(PFNArray(m, n)), -p.m, p.m), p.n)
+
+        monkeypatch.setattr(laws, "_partners", off_disk)
+        result = self.suite(np.random.default_rng(3), 200)
+        assert re.fullmatch(r"x=PFN\(.*\) t=[0-9.e-]+: degrees must lie in \[0, 1\], got .*",
+                            result.counterexample)
 
     def test_a_failure_at_the_first_pair_stops_there(self, monkeypatch):
         monkeypatch.setattr(laws, "accuracy", lambda x: -x.m)  # reverses the first reading
