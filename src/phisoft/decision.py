@@ -16,7 +16,7 @@ import numpy as np
 
 from .aggregation import Aggregator, WeightVector, importance_weights, pfwa_table
 from .errors import InvalidConfig
-from .pfn import PFN, OrderKind, PFNArray, accuracy, expectation_score, order_key, score
+from .pfn import PFN, OrderKind, _measures, _order_key, as_pfns
 from .softset import (
     PhiSoftSet,
     extended_intersection,
@@ -111,16 +111,15 @@ def decide_single(
     config = config or DecisionConfig()
     weights = importance_weights(softset.table_m[-1], softset.table_n[-1])
     m, n = pfwa_table(softset.m, softset.n, weights.values, config.aggregator)
-    x = PFNArray(m, n)
-    es, sf, af = expectation_score(x), score(x), accuracy(x)
-    primary, tiebreak = order_key(config.ranking_order, m, n)
+    es, sf, af = _measures(m, n)
+    apfdvs = as_pfns(m, n, af)
+    primary, tiebreak = _order_key(config.ranking_order, m, es, sf, af)
     # descending key, then larger membership, then alternative id ascending;
     # ids[i] is universe[i]'s place in Python's string order
     universe, count = softset.universe, len(softset.universe)
     ids, ranks = np.empty(count, np.intp), np.empty(count, np.intp)
     ids[sorted(range(count), key=universe.__getitem__)] = np.arange(count)
     ranks[np.lexsort((ids, -m, -tiebreak, -primary))] = np.arange(1, count + 1)
-    apfdvs = map(PFN, m.tolist(), n.tolist())
     # tuple.__new__ skips the generated __new__'s per-row argument binding
     columns = zip(universe, apfdvs, es.tolist(), sf.tolist(), af.tolist(), ranks.tolist())
     rows = tuple(map(tuple.__new__, repeat(AlternativeMeasures), columns))

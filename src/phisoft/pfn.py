@@ -14,8 +14,10 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -183,10 +185,42 @@ def expectation_score(x: PFN | PFNArray) -> float | np.ndarray:
     return (score(x) + 1.0) / 2.0
 
 
+def _measures(m, n):
+    """(ES, score, accuracy) of the PFN (m, n), or of each entry of (m, n)
+    arrays, from one squaring of each: the bits of `expectation_score`,
+    `score` and `accuracy`."""
+    mm, nn = m * m, n * n
+    sf = mm - nn
+    return (sf + 1.0) / 2.0, sf, mm + nn
+
+
 def valid(x: PFN | PFNArray) -> bool | np.ndarray:
     """Entrywise: whether x is a PFN, by PFN's own test."""
-    in_range = (0.0 <= x.m) & (x.m <= 1.0) & (0.0 <= x.n) & (x.n <= 1.0)
-    return in_range & (accuracy(x) <= 1.0 + VALIDITY_EPS)
+    return _valid(x.m, x.n, accuracy(x))
+
+
+def _valid(m, n, af):
+    """`valid` of (m, n), whose accuracy is `af`."""
+    in_range = (0.0 <= m) & (m <= 1.0) & (0.0 <= n) & (n <= 1.0)
+    return in_range & (af <= 1.0 + VALIDITY_EPS)
+
+
+_new, _set_m, _set_n = object.__new__, PFN.m.__set__, PFN.n.__set__
+
+
+def as_pfns(m: np.ndarray, n: np.ndarray, af: np.ndarray | None = None) -> list[PFN]:
+    """The PFNs (m[i], n[i]) of two 1-D float arrays, `af` their accuracy
+    if already computed.  Raises what `PFN(m[i], n[i])` raises for the first
+    i that fails PFN's test.  No constructor runs per entry: the PFNs are
+    allocated and their slots filled by C-level loops."""
+    ok = _valid(m, n, accuracy(PFNArray(m, n)) if af is None else af)
+    if not ok.all():
+        i = int(ok.argmin())
+        PFN(m.item(i), n.item(i))
+    pfns = list(map(_new, repeat(PFN, len(m))))
+    deque(map(_set_m, pfns, m.tolist()), 0)
+    deque(map(_set_n, pfns, n.tolist()), 0)
+    return pfns
 
 
 def close(a: PFN | PFNArray, b: PFN | PFNArray) -> bool | np.ndarray:
@@ -200,13 +234,18 @@ def order_key(order: OrderKind, m: float | np.ndarray, n: float | np.ndarray) ->
     accuracy).  Unlike a tolerance, a key is transitive.  Given arrays of m
     and n, it returns both key columns with the same bits per entry.
     """
-    x = PFNArray(m, n)
+    return _order_key(order, m, *_measures(m, n))
+
+
+def _order_key(order: OrderKind, m, es, sf, af) -> tuple:
+    """`order_key` of the PFN (m, n), or of each entry, whose ES, score and
+    accuracy are es, sf and af."""
     if order is OrderKind.MEMBERSHIP_THEN_ES:
-        return m / COMPARE_EPS // 1.0, expectation_score(x)
+        return m / COMPARE_EPS // 1.0, es
     if order is OrderKind.ES_THEN_MEMBERSHIP:
-        return expectation_score(x) / COMPARE_EPS // 1.0, m
+        return es / COMPARE_EPS // 1.0, m
     if order is OrderKind.SCORE_ACCURACY:
-        return score(x) / COMPARE_EPS // 1.0, accuracy(x)
+        return sf / COMPARE_EPS // 1.0, af
     raise TypeError(f"not a total order: {order!r}")
 
 

@@ -1,5 +1,8 @@
 """The five-step decision procedure and its report invariants."""
 
+import math
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -18,11 +21,15 @@ from phisoft import (
     extended_intersection,
     equals,
 )
-from phisoft.pfn import order_key
+from phisoft.pfn import (
+    PFN, VALIDITY_EPS, PFNArray, accuracy, expectation_score, order_key, score,
+)
 from phisoft.errors import (
     DegenerateWeights,
     EmptyIntersection,
     InvalidConfig,
+    NotPythagorean,
+    OutOfRange,
     PhiSoftError,
     UniverseMismatch,
 )
@@ -292,12 +299,7 @@ def test_zero_primary_family_meets_both_signed_zeros(monkeypatch):
     # -0.0 == 0.0 through a kernel that negates the zero memberships of every
     # other row, as the geometric operator's sqrt(-0.0) once did.
     order = OrderKind.MEMBERSHIP_THEN_ES
-    kernel = decision.pfwa_table
-
-    def signed(m, n, weights, aggregator):
-        out_m, out_n = kernel(m, n, weights, aggregator)
-        return np.where((out_m == 0.0) & (np.arange(len(out_m)) % 2 == 0), -0.0, out_m), out_n
-
+    signed = _signed_zeros(decision.pfwa_table)
     s = _zero_table()
     for aggregator in Aggregator:
         config = DecisionConfig(aggregator=aggregator, ranking_order=order)
@@ -327,3 +329,114 @@ def test_row_contract(table1, table2):
     assert again is not row
     assert again == row and hash(again) == hash(row)
     assert report.rows[1] != row
+
+
+# --- the APFDVs: one array check, then true PFNs with no constructor call ----
+
+def _signed_zeros(kernel):
+    """`kernel` with the zero memberships of every other row made -0.0."""
+    def signed(m, n, weights, aggregator):
+        out_m, out_n = kernel(m, n, weights, aggregator)
+        return np.where((out_m == 0.0) & (np.arange(len(out_m)) % 2 == 0), -0.0, out_m), out_n
+    return signed
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.value)
+@pytest.mark.parametrize("aggregator", list(Aggregator), ids=lambda a: a.value)
+@pytest.mark.parametrize("family", [*RANK_TABLES, "zero-primary-signed"])
+def test_apfdvs_are_frozen_pfns_equal_to_the_constructors(family, aggregator, order, monkeypatch):
+    s = RANK_TABLES[family.removesuffix("-signed")]()
+    kernel, seen = decision.pfwa_table, []
+    if family.endswith("-signed"):
+        kernel = _signed_zeros(kernel)
+
+    def recorded(*args):
+        seen.append(kernel(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(decision, "pfwa_table", recorded)
+    report = decide_single(s, DecisionConfig(aggregator=aggregator, ranking_order=order))
+    (m, n), = seen
+    if family.endswith("-signed"):
+        assert np.signbit(m).any()
+    # the rows as built before: one PFN constructor call per row
+    x = PFNArray(m, n)
+    es, sf, af = expectation_score(x), score(x), accuracy(x)
+    ranks = reference_ranks(s.universe, m, n, order)
+    built = list(map(PFN, m.tolist(), n.tolist()))
+    assert list(report.rows) == list(map(AlternativeMeasures, s.universe, built, es.tolist(),
+                                         sf.tolist(), af.tolist(), ranks))
+    apfdvs = [r.apfdv for r in report.rows]
+    assert all(type(v) is PFN for v in apfdvs)
+    assert apfdvs == built and list(map(hash, apfdvs)) == list(map(hash, built))
+    assert list(map(repr, apfdvs)) == list(map(repr, built))
+    assert _bits([v.m for v in apfdvs]) == _bits(m) and _bits([v.n for v in apfdvs]) == _bits(n)
+    for column, expected in (("es", es), ("sf", sf), ("af", af)):
+        assert _bits([getattr(r, column) for r in report.rows]) == _bits(expected)
+    unfrozen = 0
+    for v in apfdvs:
+        try:
+            v.m = 0.5
+        except FrozenInstanceError:
+            continue
+        unfrozen += 1
+    assert unfrozen == 0
+
+
+def test_a_valid_report_makes_no_pfn_constructor_call(monkeypatch):
+    s = _seeded_table(5, grid=False)
+    calls = []
+    init = PFN.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PFN, "__init__", counted)
+    assert PFN(0.5, 0.5) == PFN(0.5, 0.5) and len(calls) == 2  # the wrapper is in force
+    calls.clear()
+    for aggregator in Aggregator:
+        report = decide_single(s, DecisionConfig(aggregator=aggregator))
+        assert len(report.rows) == 2000
+        assert calls == []
+
+
+def _just_outside_the_disk():
+    m = 0.6
+    n = math.sqrt(1.0 + 2 * VALIDITY_EPS - m * m)
+    assert n <= 1.0 and m * m + n * n > 1.0 + VALIDITY_EPS
+    return m, n
+
+
+@pytest.mark.parametrize("bad", [
+    {3: (1.5, 0.2)},
+    {3: (math.nan, 0.2)},
+    {3: (0.2, math.nan)},
+    {3: _just_outside_the_disk()},
+    {2: _just_outside_the_disk(), 5: (1.5, 0.2)},
+    {4: (-0.25, 0.2), 6: (math.nan, math.nan)},
+], ids=["m-above-1", "m-nan", "n-nan", "off-the-disk", "two-bad-rows", "negative-then-nan"])
+def test_a_bad_kernel_row_raises_what_the_constructor_raises(bad, monkeypatch):
+    kernel = decision.pfwa_table
+
+    def broken(*args):
+        m, n = kernel(*args)
+        m, n = m.copy(), n.copy()
+        for k, (mk, nk) in bad.items():
+            m[k], n[k] = mk, nk
+        return m, n
+
+    first = min(bad)
+    with pytest.raises((OutOfRange, NotPythagorean)) as constructed:
+        PFN(*bad[first])
+    monkeypatch.setattr(decision, "pfwa_table", broken)
+    s = _seeded_table(6, grid=False)
+    for aggregator in Aggregator:
+        with pytest.raises(type(constructed.value)) as raised:
+            decide_single(s, DecisionConfig(aggregator=aggregator))
+        assert type(raised.value) is type(constructed.value)
+        assert str(raised.value) == str(constructed.value)

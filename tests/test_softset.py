@@ -1,7 +1,10 @@
 """Soft-set construction, subset/equality, and the combination operators."""
 
 import copy
+import math
 import pickle
+import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from phisoft import (
     COMPARE_EPS,
     PFN,
     PFParameter,
+    PhiSoftSet,
     build,
     constant_set,
     decide_single,
@@ -30,6 +34,7 @@ from phisoft.errors import (
     InvalidPFN,
     MissingCell,
     NotPythagorean,
+    OutOfRange,
     PhiSoftError,
     UniverseMismatch,
 )
@@ -463,6 +468,24 @@ class TestDataModel:
         assert len(table1.cells) == 16
         assert dict(table1.cells.items()) == {k: PFN(*v) for k, v in TABLE1_CELLS.items()}
         assert ("p9", "s1") not in table1.cells and "p1" not in table1.cells
+
+    def test_views_are_frozen_pfns_or_raise_what_the_constructor_raises(self, table1):
+        views = [*table1.row("p2"), *(p.importance for p in table1.parameters),
+                 *dict(table1.cells.items()).values()]
+        assert all(type(v) is PFN for v in views)
+        with pytest.raises(FrozenInstanceError):
+            views[0].m = 0.5
+        # a table that skipped `build`: each view names the bad pair as PFN does
+        m, n = table1.table_m.copy(), table1.table_n.copy()
+        m[1, 2], n[1, 3], m[-1, 1] = 1.5, 0.99, math.nan
+        raw = PhiSoftSet(table1.universe, table1.parameter_names, m, n)
+        for view, (i, j) in ((lambda: raw.row("p2"), (1, 2)), (lambda: raw.parameters, (4, 1)),
+                             (lambda: raw.cells.items(), (1, 2))):
+            with pytest.raises((OutOfRange, NotPythagorean)) as constructed:
+                PFN(m[i, j], n[i, j])
+            with pytest.raises(type(constructed.value), match=re.escape(str(constructed.value))):
+                view()
+        assert raw.row("p1") == table1.row("p1")
 
     def test_rebuilding_from_another_sets_cells(self, table1):
         permuted = build(tuple(reversed(UNIVERSE)), TABLE1_PARAMS[::-1], table1.cells)
