@@ -17,7 +17,6 @@ from .aggregation import (
 from .decision import (
     Aggregator,
     AlternativeMeasures,
-    CombineRule,
     DecisionConfig,
     DecisionReport,
     decide,
@@ -46,6 +45,7 @@ from .pfn import (
     score,
 )
 from .softset import (
+    CombineRule,
     PFParameter,
     PhiSoftSet,
     build,

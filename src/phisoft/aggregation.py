@@ -61,6 +61,8 @@ def importance_weights(m: np.ndarray, n: np.ndarray) -> WeightVector:
     """The importances' (m, n) expectation scores, normalized; raises
     DegenerateWeights when every score is 0, or there are none."""
     scores = expectation_score(PFNArray(m, n))
+    if not scores.size:
+        raise DegenerateWeights("the set has no parameters to weigh")
     total = math.fsum(scores.tolist())
     if total <= 0.0:
         raise DegenerateWeights("all parameter importances have expectation score 0")

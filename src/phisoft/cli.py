@@ -11,18 +11,11 @@ import sys
 from pathlib import Path
 
 from .aggregation import weights_from_importances
-from .decision import (
-    _COMBINE,
-    Aggregator,
-    CombineRule,
-    DecisionConfig,
-    DecisionReport,
-    decide,
-)
+from .decision import Aggregator, DecisionConfig, DecisionReport, decide
 from .errors import PhiSoftError
 from .io import emit_csv, emit_json, parse_csv, parse_json
 from .pfn import OrderKind
-from .softset import PhiSoftSet
+from .softset import CombineRule, PhiSoftSet, combine
 
 _RULES = sorted(rule.value for rule in CombineRule)
 
@@ -49,7 +42,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_combine(args) -> int:
-    combined = _COMBINE[CombineRule(args.op)](_load(args.a), _load(args.b))
+    combined = combine(_load(args.a), _load(args.b), CombineRule(args.op))
     _write(args.output, combined)
     return 0
 
@@ -99,6 +92,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _cmd_laws(args) -> int:
     from . import laws  # the other subcommands never load the suites
 
@@ -133,17 +133,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="run the full decision procedure")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--op", choices=_RULES, default="eintersect")
-    p.add_argument("--agg", choices=[a.value for a in Aggregator], default="geometric")
+    default = DecisionConfig()
+    p.add_argument("--op", choices=_RULES, default=default.combine.value)
+    p.add_argument("--agg", choices=[a.value for a in Aggregator], default=default.aggregator.value)
     orders = sorted(o.value for o in OrderKind if o is not OrderKind.LATTICE)
-    p.add_argument("--order", choices=orders, default="es")
+    p.add_argument("--order", choices=orders, default=default.ranking_order.value)
     p.add_argument("--json", metavar="OUT", help="also write the report as JSON")
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("laws", help="run the randomized law suites")
     # no defaults here: laws.DEFAULT_CASES and DEFAULT_SEED, read when the suites load
     p.add_argument("--cases", type=positive_int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=non_negative_int)
     p.set_defaults(func=_cmd_laws)
 
     return parser

@@ -8,7 +8,6 @@ under a configurable total order.  Rank 1 is the optimal alternative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
 
@@ -17,28 +16,7 @@ import numpy as np
 from .aggregation import Aggregator, WeightVector, importance_weights, pfwa_table
 from .errors import InvalidConfig
 from .pfn import PFN, OrderKind, _measures, _order_key, as_pfns
-from .softset import (
-    PhiSoftSet,
-    extended_intersection,
-    extended_union,
-    restricted_intersection,
-    restricted_union,
-)
-
-
-class CombineRule(Enum):
-    EXTENDED_UNION = "eunion"
-    EXTENDED_INTERSECTION = "eintersect"
-    RESTRICTED_UNION = "runion"
-    RESTRICTED_INTERSECTION = "rintersect"
-
-
-_COMBINE = {
-    CombineRule.EXTENDED_UNION: extended_union,
-    CombineRule.EXTENDED_INTERSECTION: extended_intersection,
-    CombineRule.RESTRICTED_UNION: restricted_union,
-    CombineRule.RESTRICTED_INTERSECTION: restricted_intersection,
-}
+from .softset import CombineRule, PhiSoftSet, combine
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,7 +79,7 @@ def decide(
 ) -> DecisionReport:
     """Run the full procedure on two expert soft sets."""
     config = config or DecisionConfig()
-    return decide_single(_COMBINE[config.combine](a, b), config)
+    return decide_single(combine(a, b, config.combine), config)
 
 
 def decide_single(

@@ -23,8 +23,7 @@ from .pfn import (
     complement, expectation_score, join, meet, mul_p, order_key, power, scalar_mul, score, valid,
 )
 from .softset import (
-    PhiSoftSet, build, check_cells, equals, extended_intersection, extended_union, is_subset,
-    null_set, restricted_intersection, restricted_union, whole_set,
+    CombineRule, PhiSoftSet, build, check_cells, combine, equals, is_subset, null_set, whole_set,
 )
 
 DEFAULT_CASES = 10_000
@@ -269,7 +268,7 @@ def geometric_closed_form_matches_fold(rng, cases: int) -> LawResult:
 # The set suites check 2 x 2 sets, every case at once.  Each case's table is
 # drawn in table order (cells row by row, then importances) into one (cases,
 # 3, 2) PFNArray, validated by `check_cells`, that goes through what
-# `is_subset`, `equals` and `_combine` use, looked up on `softset` at call
+# `is_subset`, `equals` and `combine` use, looked up on `softset` at call
 # time: `_dominated`, `_close`, `join` and `meet`.  Case 0 and the first
 # failing case are then built and checked through the public API.
 _UNIVERSE, _NAMES = ("a1", "a2"), ("c1", "c2")
@@ -304,17 +303,15 @@ def _replayed(name: str, cases: int, failed: np.ndarray, replay) -> LawResult:
 
 
 def _identities_case(x: PhiSoftSet, i: int, null: PhiSoftSet, whole: PhiSoftSet) -> str | None:
-    if i % 2 == 0:
-        union, intersection, variant = extended_union, extended_intersection, "extended"
-    else:
-        union, intersection, variant = restricted_union, restricted_intersection, "restricted"
+    variant = "restricted" if i % 2 else "extended"
+    union, intersection = (CombineRule[variant.upper() + op] for op in ("_UNION", "_INTERSECTION"))
     checks = (
-        ("union idempotent", union(x, x), x),
-        ("intersection idempotent", intersection(x, x), x),
-        ("union with null", union(x, null), x),
-        ("intersection with null", intersection(x, null), null),
-        ("union with whole", union(x, whole), whole),
-        ("intersection with whole", intersection(x, whole), x),
+        ("union idempotent", combine(x, x, union), x),
+        ("intersection idempotent", combine(x, x, intersection), x),
+        ("union with null", combine(x, null, union), x),
+        ("intersection with null", combine(x, null, intersection), null),
+        ("union with whole", combine(x, whole, union), whole),
+        ("intersection with whole", combine(x, whole, intersection), x),
     )
     for label, got, expected in checks:
         if not equals(got, expected):
@@ -333,7 +330,7 @@ def combination_identities(rng, cases: int) -> LawResult:
     check_cells(*x, _UNIVERSE, _NAMES)
     lo, hi = PFNArray(null.table_m, null.table_n), PFNArray(whole.table_m, whole.table_n)
     # x, null and whole list the same alternatives and parameters in the same
-    # order, so `_combine` pairs each column of its first operand with the
+    # order, so `combine` pairs each column of its first operand with the
     # same column of its second: join and meet of whole tables are what it computes.
     join, meet, close = softset.join, softset.meet, softset._close
     ok = close(join(x, x), x) & close(meet(x, x), x)
@@ -413,7 +410,10 @@ ALL_LAWS = (
 
 def run_all(cases: int = DEFAULT_CASES, seed: int = DEFAULT_SEED) -> list[LawResult]:
     """Run every suite off one seeded generator, in a fixed order."""
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"seed must be a non-negative integer, got {seed!r}") from None
     return [law(rng, cases) for law in ALL_LAWS]
 
 

@@ -155,7 +155,7 @@ def _one_minus_pow(s, alpha):
 
 def scalar_mul(alpha: float | np.ndarray, x: PFN | PFNArray) -> PFN | PFNArray:
     """alpha-multiple: (sqrt(1 - (1-m**2)**alpha), n**alpha), alpha > 0."""
-    if (np.asarray(alpha) <= 0.0).any():
+    if not (np.asarray(alpha) > 0.0).all():  # NaN fails > 0 as well
         raise NonPositiveScalar(f"scalar multiples and powers need alpha > 0, got {alpha}")
     n = _libm(pow, *np.broadcast_arrays(x.n, alpha))
     return _of_kind(x, _one_minus_pow(x.m * x.m, alpha), n)

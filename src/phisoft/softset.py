@@ -17,6 +17,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from enum import Enum
 from itertools import product
 
 import numpy as np
@@ -307,7 +308,22 @@ def equals(a: PhiSoftSet, b: PhiSoftSet) -> bool:
     return bool(_close(PFNArray(a.table_m, a.table_n), b_table))
 
 
-def _combine(a: PhiSoftSet, b: PhiSoftSet, union: bool, extended: bool) -> PhiSoftSet:
+class CombineRule(Enum):
+    """Step 2's four ways to merge two sets.  Extended rules keep every
+    parameter of either set, restricted rules only the shared ones; union
+    rules join shared entries, intersection rules meet them."""
+
+    EXTENDED_UNION = "eunion"
+    EXTENDED_INTERSECTION = "eintersect"
+    RESTRICTED_UNION = "runion"
+    RESTRICTED_INTERSECTION = "rintersect"
+
+
+def combine(a: PhiSoftSet, b: PhiSoftSet, rule: CombineRule) -> PhiSoftSet:
+    """Merge `b` into `a` by `rule`, in `a`'s universe order and with `a`'s
+    parameters first.  Raises UniverseMismatch unless the universes are equal
+    as sets, or, under a restricted rule, EmptyIntersection if none is shared."""
+    extended = rule.name.startswith("EXTENDED_")
     try:
         b_table = _layout(b, a.universe, b.parameter_names)
     except KeyError:
@@ -329,7 +345,7 @@ def _combine(a: PhiSoftSet, b: PhiSoftSet, union: bool, extended: bool) -> PhiSo
     n = np.concatenate((a.table_n, b_table.n), axis=1)
     a_side, b_side = (PFNArray(m.take(cols, axis=1), n.take(cols, axis=1)) for cols in (of_a, of_b))
     # Join and meet of valid PFNs are valid, so the result needs no checks.
-    lattice = join if union else meet
+    lattice = join if rule.name.endswith("_UNION") else meet
     return PhiSoftSet(a.universe, tuple(names), *lattice(a_side, b_side))
 
 
@@ -339,22 +355,22 @@ def extended_union(a: PhiSoftSet, b: PhiSoftSet) -> PhiSoftSet:
     Unshared parameters are copied; shared parameters take the
     componentwise (max m, min n) of both importances and of every cell.
     """
-    return _combine(a, b, union=True, extended=True)
+    return combine(a, b, CombineRule.EXTENDED_UNION)
 
 
 def extended_intersection(a: PhiSoftSet, b: PhiSoftSet) -> PhiSoftSet:
     """Combine over the union of parameter sets, meeting shared entries."""
-    return _combine(a, b, union=False, extended=True)
+    return combine(a, b, CombineRule.EXTENDED_INTERSECTION)
 
 
 def restricted_union(a: PhiSoftSet, b: PhiSoftSet) -> PhiSoftSet:
     """Join shared parameters only; raises EmptyIntersection if none."""
-    return _combine(a, b, union=True, extended=False)
+    return combine(a, b, CombineRule.RESTRICTED_UNION)
 
 
 def restricted_intersection(a: PhiSoftSet, b: PhiSoftSet) -> PhiSoftSet:
     """Meet shared parameters only; raises EmptyIntersection if none."""
-    return _combine(a, b, union=False, extended=False)
+    return combine(a, b, CombineRule.RESTRICTED_INTERSECTION)
 
 
 def constant_set(universe: Iterable[str], names: Iterable[str], a: float, b: float) -> PhiSoftSet:

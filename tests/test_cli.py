@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from phisoft import equals, parse_csv, parse_json
+from phisoft import DecisionConfig, decide, equals, parse_csv, parse_json
+from phisoft import cli
 from phisoft.cli import main
 from conftest import EMPTY_UNIVERSE_JSON, TABLE1_CSV
 
@@ -80,6 +81,29 @@ def test_weights_first_line(table_files, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "0.21001927"
     assert len(lines) == 5
+
+
+def test_weights_of_a_set_with_no_parameters(tmp_path, capsys):
+    path = tmp_path / "bare.csv"
+    path.write_text("id\np1\n__f__\n")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["weights", str(path)]) == 1
+    assert capsys.readouterr().err == "error: the set has no parameters to weigh\n"
+
+
+def test_decide_without_options_uses_the_default_config(table_files, monkeypatch, capsys):
+    configs = []
+
+    def recorded(a, b, config):
+        configs.append(config)
+        return decide(a, b, config)
+
+    monkeypatch.setattr(cli, "decide", recorded)
+    a, b = table_files
+    assert main(["decide", str(a), str(b)]) == 0
+    assert configs == [DecisionConfig()]
+    capsys.readouterr()
 
 
 def test_decide_prints_ranking_and_measures(table_files, capsys):
@@ -159,6 +183,12 @@ def test_laws_needs_at_least_one_case(cases, capsys):
     assert main(["laws", "--cases", cases]) == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "must be at least 1" in err
+
+
+def test_laws_refuses_a_negative_seed(capsys):
+    assert main(["laws", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--seed: must be at least 0, got -1" in err
 
 
 def test_laws_reproducible(capsys):

@@ -199,6 +199,13 @@ def test_errors_propagate(table1, table2):
         decide_single(dead)
 
 
+def test_a_set_with_no_parameters_has_nothing_to_weigh():
+    bare = build(UNIVERSE, [], {})
+    for run in (lambda: decide_single(bare), lambda: decide(bare, bare)):
+        with pytest.raises(DegenerateWeights, match="^the set has no parameters to weigh$"):
+            run()
+
+
 def test_report_row_lookup(table1, table2):
     report = decide(table1, table2)
     assert report.row("p3").alternative == "p3"

@@ -33,7 +33,7 @@ from phisoft import (
     softset,
     whole_set,
 )
-from phisoft.errors import InvalidPFN, PhiSoftError
+from phisoft.errors import InvalidConfig, InvalidPFN, PhiSoftError
 from phisoft.pfn import COMPARE_EPS, PFNArray, order_key
 
 
@@ -97,6 +97,12 @@ def test_the_laws_command_prints_the_pinned_default_report(capsys):
     assert cli.main(["laws"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[17, 10_000]
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_a_seed_numpy_refuses_is_a_config_error(seed):
+    with pytest.raises(InvalidConfig, match=rf"^seed must be a non-negative integer, got {seed}$"):
+        laws.run_all(1, seed)
 
 
 def test_each_suite_draws_what_it_drew():

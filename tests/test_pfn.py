@@ -130,11 +130,17 @@ class TestArithmetic:
 
     def test_rejects_non_positive_scalars(self):
         x = PFN(0.5, 0.5)
-        for alpha in (0.0, -1.0):
+        for alpha in (0.0, -1.0, math.nan):
             with pytest.raises(NonPositiveScalar):
                 scalar_mul(alpha, x)
             with pytest.raises(NonPositiveScalar):
                 power(x, alpha)
+        # a NaN among positive scalars, one per entry of an array
+        xs, alphas = PFNArray(np.array([0.5, 0.3]), np.array([0.5, 0.6])), np.array([2.0, math.nan])
+        with pytest.raises(NonPositiveScalar):
+            scalar_mul(alphas, xs)
+        with pytest.raises(NonPositiveScalar):
+            power(xs, alphas)
 
 
 class TestScoreFunctions:

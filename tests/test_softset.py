@@ -9,6 +9,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+import phisoft
 from phisoft import (
     COMPARE_EPS,
     PFN,
@@ -26,6 +27,7 @@ from phisoft import (
     restricted_union,
     whole_set,
 )
+from phisoft.softset import CombineRule, combine
 from phisoft.errors import (
     DuplicateId,
     EmptyIntersection,
@@ -318,6 +320,39 @@ class TestCombinations:
             for name in set(want.parameter_names) - {"c1", "c2"}:
                 source = a if name in a_names else b
                 assert column(want, name) == column(source, name), (op.__name__, name)
+
+    def test_combine_is_the_named_operator_bit_for_bit(self, table1, table2):
+        """On the paper tables, and on a seeded pair with unshared columns,
+        b's universe reversed and both signed zeros in every table."""
+        rng = np.random.default_rng(5)
+        pool = np.array([-0.0, 0.0, 0.3, 0.6])
+
+        def table(universe, names):
+            m, n = rng.choice(pool, size=(2, len(universe) + 1, len(names)))
+            zeros = np.concatenate((m[m == 0], n[n == 0]))
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+            params = [(name, (m[-1, j], n[-1, j])) for j, name in enumerate(names)]
+            cells = {(alt, name): (m[i, j], n[i, j])
+                     for i, alt in enumerate(universe) for j, name in enumerate(names)}
+            return build(universe, params, cells)
+
+        universe = ("u1", "u2", "u3", "u4")
+        seeded = table(universe, ("c1", "c2", "c3")), table(universe[::-1], ("c2", "c4", "c1"))
+        named = {
+            CombineRule.EXTENDED_UNION: extended_union,
+            CombineRule.EXTENDED_INTERSECTION: extended_intersection,
+            CombineRule.RESTRICTED_UNION: restricted_union,
+            CombineRule.RESTRICTED_INTERSECTION: restricted_intersection,
+        }
+        assert CombineRule is phisoft.CombineRule is phisoft.decision.CombineRule
+        for a, b in ((table1, table2), seeded):
+            for rule in CombineRule:
+                got, want = combine(a, b, rule), named[rule](a, b)
+                assert got.universe == want.universe == a.universe
+                assert got.parameter_names == want.parameter_names, rule
+                for component in ("table_m", "table_n"):
+                    got_bytes, want_bytes = (getattr(s, component).tobytes() for s in (got, want))
+                    assert got_bytes == want_bytes, (rule, component)
 
     def test_universe_mismatch(self, table1):
         other = build(["q1"], TABLE1_PARAMS, {
