@@ -88,9 +88,51 @@ def _fsums(terms: np.ndarray):
     return map(math.fsum, zip(*terms.T.tolist()))
 
 
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """The `math.fsum` of each row of `terms`."""
-    return np.fromiter(_fsums(terms), np.float64, len(terms))
+#: Tables with fewer rows go straight to `math.fsum`: below this, the
+#: cascade's nine numpy calls per column cost more than one fsum per row.
+_CASCADE_MIN_ROWS = 128
+
+
+def _two_sum(a, b):
+    """(fl(a + b), a + b - fl(a + b)), the rounding error exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _row_sums(terms: np.ndarray, finish=None) -> np.ndarray:
+    """The `math.fsum` of each row of `terms`, bit for bit, or `finish` (a
+    `math` function) of it: on a small table that saves an array per call.
+
+    TwoSum runs down the columns, every row at once (Ogita, Rump & Oishi,
+    "Accurate Sum and Dot Product", 2005).  A row's exact sum S is s + E: s
+    the running sum, E the exact sum of its P-1 rounding errors.  Their float
+    sum e is off by at most gamma_(P-2) * sum|err|, about (P-2)u * sum|err|
+    with u = 2**-53, well under delta = 2Pu * sum|err|.
+    With (r, d) = TwoSum(s, e), S = r + d + (E - e); so where |d| + delta is
+    below half the smaller gap around r, r is S correctly rounded, which is
+    fsum's result.  As in Shewchuk's adaptive predicates (1997), only the
+    rows that this cannot certify are summed exactly, by fsum: ties, r == 0
+    (fsum's signed-zero rule), and non-finite terms or overflow, which make
+    TwoSum's error NaN."""
+    rows, width = terms.shape
+    if rows < _CASCADE_MIN_ROWS or not width:
+        sums = _fsums(terms)
+        return np.fromiter(sums if finish is None else map(finish, sums), np.float64, rows)
+    cols = terms.T
+    s, e, mag = cols[0], 0.0, 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for col in cols[1:]:
+            s, err = _two_sum(s, col)
+            e = e + err
+            mag = mag + np.abs(err)
+        r, d = _two_sum(s, e)
+        half_gap = 0.5 * np.abs(r - np.nextafter(r, 0.0))
+        certified = np.abs(d) + (width * 2.0**-52) * mag < half_gap
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        r[redo] = np.fromiter(_fsums(terms[redo]), np.float64, redo.size)
+    return r if finish is None else _libm(finish, r)
 
 
 def _exp_log_sums(exp, log, x: np.ndarray, pole: float, w: np.ndarray) -> np.ndarray:
@@ -99,7 +141,7 @@ def _exp_log_sums(exp, log, x: np.ndarray, pole: float, w: np.ndarray) -> np.nda
     at_pole = x == pole
     terms = _libm(log, np.where(at_pole, 1.0, x))
     terms[at_pole] = -math.inf
-    return np.fromiter(map(exp, _fsums(terms * w)), np.float64, len(x))
+    return _row_sums(terms * w, exp)
 
 
 def pfwa_table(
@@ -109,8 +151,11 @@ def pfwa_table(
     is `pfwa_geometric` (or `pfwa_linear`) of row i.  `weights` is a sequence
     of P weights for every row, or an A x P numpy array, one weight row each.
     A column whose weight is 0 in every row is dropped; a 0 in any other
-    column raises DegenerateWeights.  Each result is the `math.fsum` of one
-    term per weighted parameter, so the column order cannot change a bit.
+    column raises DegenerateWeights.  Each row sums one term per weighted
+    parameter to exactly `math.fsum`'s result, so the column order cannot
+    change a bit; on tall tables `_row_sums` reaches it by a certified
+    error-free cascade over all rows, and calls fsum only on the rows that
+    the cascade cannot certify.
     log1p, log, expm1 and exp are `math`'s, because numpy's differ in the
     last bit on a few percent of inputs, and per CPU; the rest runs in numpy."""
     w = np.asarray(weights, np.float64)

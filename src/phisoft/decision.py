@@ -32,6 +32,12 @@ class DecisionConfig:
     ranking_order: OrderKind = OrderKind.ES_THEN_MEMBERSHIP
 
     def __post_init__(self):
+        for name, kind in (("combine", CombineRule), ("aggregator", Aggregator),
+                           ("ranking_order", OrderKind)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                article = "an" if kind.__name__[0] in "AEIOU" else "a"
+                raise InvalidConfig(f"{name}: expected {article} {kind.__name__}, got {value!r}")
         if self.ranking_order is OrderKind.LATTICE:
             raise InvalidConfig("ranking_order: needs a total order, not the lattice order")
 

@@ -20,7 +20,8 @@ from phisoft import (
     pfwa_linear,
     weights_from_importances,
 )
-from phisoft.aggregation import pfwa_table
+from phisoft import aggregation
+from phisoft.aggregation import _CASCADE_MIN_ROWS, _row_sums, pfwa_table
 from phisoft.errors import DegenerateWeights, LengthMismatch
 
 PAPER_WEIGHTS = {
@@ -410,8 +411,7 @@ class TestPerRowWeights:
 def test_rows_are_summed_without_a_list_per_row(aggregator):
     """A list per row made a 20000 x 8 call run dozens of cyclic collections."""
     rng = np.random.default_rng(7)
-    radius, angle = np.sqrt(rng.random((20000, 8))), rng.random((20000, 8)) * (math.pi / 2)
-    m, n = radius * np.cos(angle), radius * np.sin(angle)
+    m, n = tall_pfns(rng, 20000, 8)
     w = positive_weight_rows(rng, 1, 8)[0].values
     started = []
 
@@ -428,3 +428,105 @@ def test_rows_are_summed_without_a_list_per_row(aggregator):
         gc.callbacks.remove(count)
         gc.set_threshold(*threshold)
     assert len(started) <= 5
+
+
+def fsum_rows(terms):
+    """The reference: `math.fsum` of each row, one call per row."""
+    return np.array([math.fsum(row) for row in terms.tolist()], np.float64)
+
+
+def tall_pfns(rng, rows, cols, decimals=None):
+    """(m, n) tables of PFNs spread over the quarter disk, optionally rounded
+    to a decimal grid as CSV input is."""
+    radius, angle = np.sqrt(rng.random((rows, cols))), rng.random((rows, cols)) * (math.pi / 2)
+    m, n = radius * np.cos(angle), radius * np.sin(angle)
+    if decimals is not None:
+        m, n = np.floor(m * 10**decimals) / 10**decimals, np.floor(n * 10**decimals) / 10**decimals
+    return m, n
+
+
+#: Rows on which a cheap sum and the correctly rounded one part, or where
+#: fsum has a rule of its own; each is cut or padded with zeros to a width.
+ADVERSARIAL_ROWS = (
+    [1.0, 2.0**-53],                        # an exact tie, to even: 1.0
+    [1.0 + 2.0**-52, 2.0**-53],             # an exact tie, to even: up
+    [1.0, 2.0**-53, 2.0**-100],             # a tie plus a tiny term: up
+    [1.5, 2.0**-53, 2.0**-120],             # the same, with the tiny term lost in e
+    [1.5, 2.0**-53 - 2.0**-106, *[2.0**-108] * 5],  # e rounds 5 terms away: up
+    [1.0, -(2.0**-54), -(2.0**-130)],       # below a power of two, the tiny term lost in e
+    [-0.0, -0.0, -0.0],
+    [0.0, -0.0, -0.0],
+    [-0.0, 0.0, -0.0],
+    [5e-324, 5e-324, -5e-324],              # subnormals
+    [2.0**-1022, -5e-324, 2.0**-1074],
+    [1e300, -1e300, 1e-300],                # x, -x, tiny
+    [0.1, 0.2, -0.3],
+    [0.5, -math.inf, 0.25],                 # a geometric pole row
+    [-math.inf, -math.inf, 1.0],
+    [2.0**53, 1.0, -(2.0**53)],
+    [1.0, 1e-16, 1e-16, 1e-16, 1e-16],
+)
+
+
+class TestRowSums:
+    """`_row_sums` is `math.fsum` of each row, bit for bit, and cheap where
+    it can be: the cascade settles nearly every row of a tall table."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 60])
+    @pytest.mark.parametrize("rows", [_CASCADE_MIN_ROWS - 1, _CASCADE_MIN_ROWS, 3 * _CASCADE_MIN_ROWS])
+    def test_adversarial_rows_bit_for_bit(self, rows, width):
+        rng = np.random.default_rng(41)
+        terms = rng.standard_normal((rows, width)) * 2.0 ** rng.integers(-60, 60, (rows, width))
+        for i, row in enumerate(ADVERSARIAL_ROWS):
+            cut = (row + [0.0] * width)[:width]
+            terms[2 * i] = cut
+            terms[rows - 1 - 2 * i] = cut[::-1]
+        assert _row_sums(terms).tobytes() == fsum_rows(terms).tobytes()
+
+    def test_overflow_raises_as_fsum_does(self):
+        terms = np.zeros((_CASCADE_MIN_ROWS, 3))
+        terms[5] = [1.7e308, 1.7e308, -1.7e308]
+        with pytest.raises(OverflowError):
+            _row_sums(terms)
+
+    @pytest.mark.parametrize("decimals", [None, 2])
+    def test_seeded_tall_term_tables_bit_for_bit(self, decimals):
+        """Both aggregators' term shapes: m*w, w*log1p(-m*m) and w*log n."""
+        rng = np.random.default_rng(42)
+        m, n = tall_pfns(rng, 100_000, 8, decimals)
+        w = np.array(positive_weight_rows(rng, 1, 8)[0].values)
+        with np.errstate(divide="ignore"):
+            for terms in (m * w, w * np.log1p(-(m * m)), w * np.log(n)):
+                assert _row_sums(terms).tobytes() == fsum_rows(terms).tobytes()
+
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    def test_tall_tables_match_the_loop_bit_for_bit(self, aggregator):
+        rng = np.random.default_rng(43)
+        for rows, cols, decimals in ((20_000, 8, None), (5000, 8, 2), (2000, 60, 4)):
+            m, n = tall_pfns(rng, rows, cols, decimals)
+            w = positive_weight_rows(rng, 1, cols)[0].values
+            got = pfwa_table(m, n, w, aggregator)
+            expected = np.array([LOOPS[aggregator](ms, ns, w)
+                                 for ms, ns in zip(m.tolist(), n.tolist())])
+            assert got[0].tobytes() == expected[:, 0].tobytes()
+            assert got[1].tobytes() == expected[:, 1].tobytes()
+
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    def test_the_cascade_settles_nearly_every_row(self, aggregator, monkeypatch):
+        """Only rows the cascade cannot certify reach fsum, so a cascade that
+        certified nothing fails here though it would match fsum everywhere."""
+        fsums, summed = aggregation._fsums, []
+
+        def counted(terms):
+            summed.append(len(terms))
+            return fsums(terms)
+
+        monkeypatch.setattr(aggregation, "_fsums", counted)
+        rng = np.random.default_rng(44)
+        m, n = tall_pfns(rng, 20_000, 8)
+        pfwa_table(m, n, positive_weight_rows(rng, 1, 8)[0].values, aggregator)
+        assert sum(summed) < 0.05 * 2 * 20_000
+        summed.clear()
+        pfwa_table(m[: _CASCADE_MIN_ROWS - 1], n[: _CASCADE_MIN_ROWS - 1],
+                   positive_weight_rows(rng, 1, 8)[0].values, aggregator)
+        assert summed == [_CASCADE_MIN_ROWS - 1] * 2

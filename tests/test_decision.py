@@ -179,6 +179,17 @@ def test_lattice_order_is_rejected_in_config():
     assert isinstance(info.value, PhiSoftError) and isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("field, token, kind", [
+    ("combine", "eunion", "a CombineRule"),
+    ("aggregator", "linear", "an Aggregator"),
+    ("ranking_order", "es", "an OrderKind"),
+])
+def test_config_refuses_a_token_in_place_of_its_enum(field, token, kind):
+    with pytest.raises(InvalidConfig) as info:
+        DecisionConfig(**{field: token})
+    assert str(info.value) == f"{field}: expected {kind}, got {token!r}"
+
+
 def test_errors_propagate(table1, table2):
     other = build(["q1"], TABLE1_PARAMS, {
         ("q1", name): (0.5, 0.5) for name, _ in TABLE1_PARAMS
