@@ -111,10 +111,12 @@ def _row_sums(terms: np.ndarray, finish=None) -> np.ndarray:
     with u = 2**-53, well under delta = 2Pu * sum|err|.
     With (r, d) = TwoSum(s, e), S = r + d + (E - e); so where |d| + delta is
     below half the smaller gap around r, r is S correctly rounded, which is
-    fsum's result.  As in Shewchuk's adaptive predicates (1997), only the
-    rows that this cannot certify are summed exactly, by fsum: ties, r == 0
-    (fsum's signed-zero rule), and non-finite terms or overflow, which make
-    TwoSum's error NaN."""
+    fsum's result.  With two columns E is the one TwoSum error, so e == E and
+    r is S correctly rounded, ties to even included: every finite r != 0 is
+    certified.  As in Shewchuk's adaptive predicates (1997), only the rows
+    that this cannot certify are summed exactly, by fsum: ties (from three
+    columns on), r == 0 (fsum's signed-zero rule), and non-finite terms or
+    overflow, which make TwoSum's error NaN."""
     rows, width = terms.shape
     if rows < _CASCADE_MIN_ROWS or not width:
         sums = _fsums(terms)
@@ -127,8 +129,11 @@ def _row_sums(terms: np.ndarray, finish=None) -> np.ndarray:
             e = e + err
             mag = mag + np.abs(err)
         r, d = _two_sum(s, e)
-        half_gap = 0.5 * np.abs(r - np.nextafter(r, 0.0))
-        certified = np.abs(d) + (width * 2.0**-52) * mag < half_gap
+        if width == 2:  # e is the one TwoSum error, so r is S rounded, ties too
+            certified = np.isfinite(r) & (r != 0.0)
+        else:
+            half_gap = 0.5 * np.abs(r - np.nextafter(r, 0.0))
+            certified = np.abs(d) + (width * 2.0**-52) * mag < half_gap
     redo = np.flatnonzero(~certified)
     if redo.size:
         r[redo] = np.fromiter(_fsums(terms[redo]), np.float64, redo.size)

@@ -530,3 +530,29 @@ class TestRowSums:
         pfwa_table(m[: _CASCADE_MIN_ROWS - 1], n[: _CASCADE_MIN_ROWS - 1],
                    positive_weight_rows(rng, 1, 8)[0].values, aggregator)
         assert summed == [_CASCADE_MIN_ROWS - 1] * 2
+
+    @pytest.mark.parametrize("shape", ["random", "decimals", "log"])
+    def test_two_columns_reach_fsum_only_at_zero_or_non_finite(self, shape, monkeypatch):
+        """At width 2 the cascade's error sum is the one TwoSum error, exact,
+        so every finite nonzero sum is certified, ties included; only r == 0
+        and non-finite rows reach fsum."""
+        fsums, summed = aggregation._fsums, []
+
+        def recorded(terms):
+            summed.append(terms.copy())
+            return fsums(terms)
+
+        monkeypatch.setattr(aggregation, "_fsums", recorded)
+        rng = np.random.default_rng(46)
+        m, n = tall_pfns(rng, 5000, 2, 2 if shape == "decimals" else None)
+        w = np.array(positive_weight_rows(rng, 1, 2)[0].values)
+        with np.errstate(divide="ignore"):
+            terms = w * np.log(n) if shape == "log" else m * w
+        terms[[0, 7, 99]] = [[0.25, -0.25], [0.0, -0.0], [-0.0, -0.0]]
+        terms[[5, 600]] = [[-math.inf, 0.5], [-math.inf, -math.inf]]
+        assert _row_sums(terms).tobytes() == fsum_rows(terms).tobytes()
+        with np.errstate(invalid="ignore"):
+            r = terms[:, 0] + terms[:, 1]
+        (reached,) = summed
+        assert reached.tobytes() == terms[~np.isfinite(r) | (r == 0.0)].tobytes()
+        assert len(reached) >= 5

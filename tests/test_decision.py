@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import FrozenInstanceError
+from functools import cache
 
 import numpy as np
 import pytest
@@ -285,11 +286,34 @@ def _zero_table():
     return build(tuple(ZERO_ROWS), [("c1", (0.5, 0.4)), ("c2", (0.6, 0.3))], cells)
 
 
+def _tall_table(seed, planted):
+    """A 20000×8 set of random rows with shuffled mixed-script ids.  With
+    `planted`, it has tie runs: 40 rows of tenths, each copied to 25
+    alternatives (every key ties, the id decides), and 300 constant rows
+    (c, c), whose ES and score primaries tie in one or two runs while their
+    memberships differ."""
+    rng = np.random.default_rng(seed)
+    prefixes = ("a", "B", "é", "z0", "_", "ß")
+    universe = [f"{prefixes[k % len(prefixes)]}{k}" for k in rng.permutation(20_000)]
+    names = [f"c{j}" for j in range(8)]
+    m = rng.random((20_001, 8))
+    n = rng.random((20_001, 8)) * np.sqrt(1.0 - m * m)
+    if planted:
+        rows = rng.permutation(20_000)
+        copies, constant = rows[:1000].reshape(40, 25), rows[1000:1300]
+        m[copies] = rng.integers(0, 8, (40, 1, 8)) / 10.0
+        n[copies] = rng.integers(0, 8, (40, 1, 8)) / 10.0
+        m[constant] = n[constant] = rng.integers(0, 8, (300, 1)) / 10.0
+    cells = {(alt, name): (m[i, j], n[i, j]) for i, alt in enumerate(universe) for j, name in enumerate(names)}
+    return build(universe, [(name, (m[-1, j], n[-1, j])) for j, name in enumerate(names)], cells)
+
+
 RANK_TABLES = {
     "seeded-2000x6": lambda: _seeded_table(3, grid=False),
     "seeded-2000x6-grid": lambda: _seeded_table(4, grid=True),
     "identical-rows": _tied_table,
     "zero-primary": _zero_table,
+    "tall-20000x8-tie-runs": cache(lambda: _tall_table(8, planted=True)),
 }
 
 
@@ -330,6 +354,61 @@ def test_zero_primary_family_meets_both_signed_zeros(monkeypatch):
         zeros = order_key(order, m, n)[0][m == 0.0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
         assert [r.rank for r in report.rows] == reference_ranks(s.universe, m, n, order)
+
+
+#: Every `<` an alternative id of a `_counted` set takes part in, as the
+#: (left, right) pair of plain strings.
+COMPARED = []
+
+
+class CountedId(str):
+    """An alternative id that logs each `<` it takes part in."""
+
+    def __lt__(self, other):
+        COMPARED.append((str(self), str(other)))
+        return str.__lt__(self, other)
+
+
+def _counted(s):
+    """The set `s` with its alternative ids wrapped in CountedId."""
+    ids = {alt: CountedId(alt) for alt in s.universe}
+    cells = {(ids[alt], name): v for (alt, name), v in s.cells.items()}
+    return build(ids.values(), s.parameters, cells)
+
+
+def _ranked_ids(s, aggregator, order):
+    """Check decide_single's ranks of `s` against the reference; return the
+    ids it compared, and the ids of the rows whose primary key ties."""
+    COMPARED.clear()
+    report = decide_single(s, DecisionConfig(aggregator=aggregator, ranking_order=order))
+    compared = {alt for pair in COMPARED for alt in pair}
+    m = [r.apfdv.m for r in report.rows]
+    n = [r.apfdv.n for r in report.rows]
+    assert [r.rank for r in report.rows] == reference_ranks(s.universe, m, n, order)
+    primary = order_key(order, np.array(m), np.array(n))[0]
+    _, run, size = np.unique(primary, return_inverse=True, return_counts=True)
+    return compared, {alt for alt, k in zip(s.universe, run.ravel().tolist()) if size[k] > 1}
+
+
+def test_a_tie_free_table_never_compares_ids():
+    s = _counted(_tall_table(9, planted=False))
+    assert all(type(alt) is CountedId for alt in s.universe)
+    for aggregator in Aggregator:
+        for order in ORDERS:
+            assert _ranked_ids(s, aggregator, order) == (set(), set())
+    sorted(s.universe[:2])
+    assert COMPARED  # the wrapper is in force
+
+
+@pytest.mark.parametrize("family", ["identical-rows", "tall-20000x8-tie-runs"])
+def test_only_the_tied_ids_are_compared(family):
+    s = _counted(RANK_TABLES[family]())
+    for aggregator in Aggregator:
+        for order in ORDERS:
+            compared, tied = _ranked_ids(s, aggregator, order)
+            assert compared and compared <= tied
+            if family == "identical-rows":
+                assert tied == set(TIED_IDS)
 
 
 def test_row_contract(table1, table2):
