@@ -39,20 +39,19 @@ def _as_text(data: bytes | str) -> str:
 def _reassemble_parenthesized(fields: list[str], line: int) -> list[str]:
     """Re-join ``(m`` + ``n)`` pieces that the comma split apart."""
     out: list[str] = []
-    pending: list[str] | None = None
     for piece in fields:
-        if pending is not None:
-            pending.append(piece)
-            if piece.rstrip().endswith(")"):
-                out.append(",".join(pending))
-                pending = None
-        elif piece.lstrip().startswith("(") and not piece.rstrip().endswith(")"):
-            pending = [piece]
+        if out and _open(out[-1]):
+            out[-1] += "," + piece
         else:
             out.append(piece)
-    if pending is not None:
+    if out and _open(out[-1]):
         raise ParseError("unclosed '(' in cell", line=line)
     return out
+
+
+def _open(field: str) -> bool:
+    """Whether `field` starts a ``(`` group that it does not close."""
+    return field.lstrip().startswith("(") and not field.rstrip().endswith(")")
 
 
 def _parse_row(values: list[str], line: int) -> tuple[list[float], list[float]]:
@@ -156,21 +155,23 @@ def _number(doc, path: str) -> float:
         raise ParseError("number out of range", path=path) from None
 
 
+def _object(doc, path: str, keys: tuple[str, ...]) -> dict:
+    """`doc` if it is an object that holds every one of `keys`."""
+    _expect(doc, path, dict, "an object")
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"missing key {key!r}", path=path)
+    return doc
+
+
 def _cell_key(entry, path: str) -> tuple[str, str]:
     """Check one cell entry's shape; its (alt, param) if the shape is right."""
-    _expect(entry, path, dict, "an object")
-    for key in ("alt", "param", "m", "n"):
-        if key not in entry:
-            raise ParseError(f"missing key {key!r}", path=path)
+    _object(entry, path, ("alt", "param", "m", "n"))
     alt = _expect(entry["alt"], f"{path}.alt", str, "a string")
     param = _expect(entry["param"], f"{path}.param", str, "a string")
     _number(entry["m"], f"{path}.m")
     _number(entry["n"], f"{path}.n")
     return alt, param
-
-
-#: JSON number types; bool is excluded, as `_number` excludes it.
-_NUMBER_TYPES = (int, float)
 
 
 def parse_json(data: bytes | str) -> PhiSoftSet:
@@ -182,28 +183,17 @@ def parse_json(data: bytes | str) -> PhiSoftSet:
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
 
-    _expect(doc, "$", dict, "an object")
-    for key in ("universe", "parameters", "cells"):
-        if key not in doc:
-            raise ParseError(f"missing key {key!r}", path="$")
-
+    _object(doc, "$", ("universe", "parameters", "cells"))
     universe = _expect(doc["universe"], "$.universe", list, "an array")
-    alts = [
-        _expect(a, f"$.universe[{i}]", str, "a string") for i, a in enumerate(universe)
-    ]
+    alts = [_expect(a, f"$.universe[{i}]", str, "a string") for i, a in enumerate(universe)]
 
     names, importance_ms, importance_ns = [], [], []
     for i, entry in enumerate(_expect(doc["parameters"], "$.parameters", list, "an array")):
         path = f"$.parameters[{i}]"
-        _expect(entry, path, dict, "an object")
-        if "name" not in entry or "importance" not in entry:
-            raise ParseError("missing key 'name' or 'importance'", path=path)
+        _object(entry, path, ("name", "importance"))
         names.append(_expect(entry["name"], f"{path}.name", str, "a string"))
         path += ".importance"
-        importance = _expect(entry["importance"], path, dict, "an object")
-        for key in ("m", "n"):
-            if key not in importance:
-                raise ParseError(f"missing key {key!r}", path=path)
+        importance = _object(entry["importance"], path, ("m", "n"))
         importance_ms.append(_number(importance["m"], f"{path}.m"))
         importance_ns.append(_number(importance["n"], f"{path}.n"))
     alts, names = check_ids(alts, names)
@@ -222,11 +212,12 @@ def parse_json(data: bytes | str) -> PhiSoftSet:
             k = rows[alt] * width + cols[param]
         except (KeyError, TypeError):
             k = None
-        if k is None or type(m) not in _NUMBER_TYPES or type(n) not in _NUMBER_TYPES:
+        if k is None or type(m) is not float or type(n) is not float:
             key = _cell_key(entry, f"$.cells[{i}]")
             if k is None:
                 outside.append(key)
                 continue
+            m, n = float(m), float(n)
         if seen[k]:
             raise ParseError(f"duplicate cell ({alt}, {param})", path=f"$.cells[{i}]")
         seen[k] = 1
@@ -238,13 +229,8 @@ def parse_json(data: bytes | str) -> PhiSoftSet:
     if outside:
         raise MissingCell(f"unexpected cells outside the table: {sorted(outside)[:5]}")
 
-    try:
-        m = np.array(ms + importance_ms, dtype=np.float64).reshape(len(alts) + 1, width)
-        n = np.array(ns + importance_ns, dtype=np.float64).reshape(m.shape)
-    except OverflowError:
-        for i, entry in enumerate(entries):
-            _cell_key(entry, f"$.cells[{i}]")
-        raise
+    m = np.array(ms + importance_ms, dtype=np.float64).reshape(len(alts) + 1, width)
+    n = np.array(ns + importance_ns, dtype=np.float64).reshape(m.shape)
 
     def locate(i: int, j: int) -> str:
         if i == len(alts):
@@ -277,20 +263,13 @@ def _cells_json(softset: PhiSoftSet) -> str:
     ``{"alt", "param", "m", "n"}`` objects under a top-level key."""
     if not softset.m.size:
         return "[]"
-    width = len(softset.parameter_names)
-    row = ",\n".join(
-        '    {\n      "alt": %s,\n      "param": '
-        + json.dumps(name).replace("%", "%%")
-        + ',\n      "m": %r,\n      "n": %r\n    }'
-        for name in softset.parameter_names
-    )
-    args: list = [None] * (3 * width)
+    names = [json.dumps(name) for name in softset.parameter_names]
+    ids = map(json.dumps, softset.universe)
     rows = []
-    for alt, ms, ns in zip(softset.universe, softset.m.tolist(), softset.n.tolist()):
-        args[0::3] = [json.dumps(alt)] * width
-        args[1::3] = ms
-        args[2::3] = ns
-        rows.append(row % tuple(args))
+    for alt, ms, ns in zip(ids, softset.m.tolist(), softset.n.tolist()):
+        rows.append(",\n".join([
+            f'    {{\n      "alt": {alt},\n      "param": {name},\n      "m": {m!r},\n'
+            f'      "n": {n!r}\n    }}' for name, m, n in zip(names, ms, ns)]))
     return "[\n" + ",\n".join(rows) + "\n  ]"
 
 

@@ -90,9 +90,10 @@ class Ordering(Enum):
     INCOMPARABLE = 2
 
 
-def indeterminacy(x: PFN) -> float:
+def indeterminacy(x: PFN | PFNArray) -> float | np.ndarray:
     """Residual hesitation sqrt(1 - m**2 - n**2), clamped at the boundary."""
-    return math.sqrt(max(0.0, 1.0 - x.m * x.m - x.n * x.n))
+    h = np.sqrt(np.maximum(0.0, 1.0 - x.m * x.m - x.n * x.n))
+    return float(h) if isinstance(x, PFN) else h
 
 
 def _of_kind(x, m, n):
@@ -208,12 +209,12 @@ def _valid(m, n, af):
 _new, _set_m, _set_n = object.__new__, PFN.m.__set__, PFN.n.__set__
 
 
-def as_pfns(m: np.ndarray, n: np.ndarray, af: np.ndarray | None = None) -> list[PFN]:
-    """The PFNs (m[i], n[i]) of two 1-D float arrays, `af` their accuracy
-    if already computed.  Raises what `PFN(m[i], n[i])` raises for the first
-    i that fails PFN's test.  No constructor runs per entry: the PFNs are
-    allocated and their slots filled by C-level loops."""
-    ok = _valid(m, n, accuracy(PFNArray(m, n)) if af is None else af)
+def as_pfns(m: np.ndarray, n: np.ndarray, af: np.ndarray) -> list[PFN]:
+    """The PFNs (m[i], n[i]) of two 1-D float arrays whose accuracy is `af`.
+    Raises what `PFN(m[i], n[i])` raises for the first i that fails PFN's
+    test.  No constructor runs per entry: the PFNs are allocated and their
+    slots filled by C-level loops."""
+    ok = _valid(m, n, af)
     if not ok.all():
         i = int(ok.argmin())
         PFN(m.item(i), n.item(i))

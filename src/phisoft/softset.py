@@ -33,7 +33,7 @@ from .errors import (
     OutOfRange,
     UniverseMismatch,
 )
-from .pfn import PFN, OrderKind, PFNArray, as_pfns, below, close, join, meet, valid
+from .pfn import PFN, OrderKind, PFNArray, below, close, join, meet, valid
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +87,7 @@ class PhiSoftSet:
     def parameters(self) -> tuple[PFParameter, ...]:
         """Each parameter name with its importance, built on first use."""
         if self._parameters is None:
-            importances = as_pfns(self.table_m[-1], self.table_n[-1])
+            importances = map(PFN, self.table_m[-1].tolist(), self.table_n[-1].tolist())
             parameters = tuple(map(PFParameter, self.parameter_names, importances))
             object.__setattr__(self, "_parameters", parameters)
         return self._parameters
@@ -111,7 +111,7 @@ class PhiSoftSet:
     def row(self, alternative: str) -> tuple[PFN, ...]:
         """The alternative's cells in parameter order."""
         i = self._lookup()[0][alternative]
-        return tuple(as_pfns(self.m[i], self.n[i]))
+        return tuple(map(PFN, self.m[i].tolist(), self.n[i].tolist()))
 
     @property
     def cells(self) -> Mapping[tuple[str, str], PFN]:
@@ -142,7 +142,7 @@ class _CellView(Mapping):
     def _dict(self) -> dict[tuple[str, str], PFN]:
         """Every cell, read from the arrays in one pass, not key by key."""
         s = self._set
-        return dict(zip(self, as_pfns(s.m.ravel(), s.n.ravel())))
+        return dict(zip(self, map(PFN, s.m.ravel().tolist(), s.n.ravel().tolist())))
 
     def items(self):
         return self._dict().items()

@@ -93,6 +93,14 @@ class TestParseCsv:
         with pytest.raises(ParseError):
             parse_csv("")
 
+    @pytest.mark.parametrize(
+        "row", ["p2,(0.5,0.4,(0.5,0.4", "p2,(0.5,0.4),(0.5,0.4", 'p2,"0.5,0.4",( 0.5']
+    )
+    def test_unclosed_parenthesis_names_the_line(self, row):
+        text = f'id,s1,s2\np1,(0.5,0.4),"0.5,0.4"\n{row}\n__f__,"0.5,0.4","0.5,0.4"\n'
+        with pytest.raises(ParseError, match=r"^line 3: unclosed '\(' in cell$"):
+            parse_csv(text)
+
 
 class TestEmitCsv:
     def test_round_trip(self, table1):
@@ -190,6 +198,89 @@ class TestJson:
             "cells": [{"alt": "p1", "param": "s1", "m": 0.9, "n": 0.9}],
         }
         with pytest.raises(InvalidPFN, match=r"\(p1, s1\)"):
+            parse_json(json.dumps(doc))
+
+
+def _two_by_two(m=0.5, n=0.4) -> dict:
+    """A 2 x 2 set document whose cells all hold (m, n)."""
+    return {
+        "universe": ["p1", "p2"],
+        "parameters": [{"name": s, "importance": {"m": 0.5, "n": 0.4}} for s in ("s1", "s2")],
+        "cells": [
+            {"alt": a, "param": s, "m": m, "n": n} for a in ("p1", "p2") for s in ("s1", "s2")
+        ],
+    }
+
+
+class TestJsonNumbers:
+    """JSON numbers are checked in document order; a located error names the
+    first faulty entry."""
+
+    @pytest.mark.parametrize(
+        "where, path",
+        [
+            (("cells", 1, "m"), r"\$\.cells\[1\]\.m"),
+            (("cells", 2, "n"), r"\$\.cells\[2\]\.n"),
+            (("parameters", 1, "importance", "m"), r"\$\.parameters\[1\]\.importance\.m"),
+            (("parameters", 0, "importance", "n"), r"\$\.parameters\[0\]\.importance\.n"),
+        ],
+    )
+    def test_an_integer_beyond_double_range_is_located(self, where, path):
+        doc = _two_by_two()
+        *parents, key = where
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = 10**400
+        with pytest.raises(ParseError, match=f"^{path}: number out of range$"):
+            parse_json(json.dumps(doc))
+
+    def test_an_overflow_before_a_duplicate_is_reported(self):
+        doc = _two_by_two()
+        doc["cells"][1]["m"] = 10**400
+        doc["cells"][2] = dict(doc["cells"][0])
+        with pytest.raises(ParseError, match=r"^\$\.cells\[1\]\.m: number out of range$"):
+            parse_json(json.dumps(doc))
+
+    def test_an_overflow_is_reported_before_a_missing_cell(self):
+        doc = _two_by_two()
+        doc["cells"][1]["n"] = -(10**400)
+        del doc["cells"][3]
+        with pytest.raises(ParseError, match=r"^\$\.cells\[1\]\.n: number out of range$"):
+            parse_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("m, n", [(1, 0), (0, 1), (0, 0)])
+    def test_integer_cells_read_as_their_floats(self, m, n):
+        from_ints = parse_json(json.dumps(_two_by_two(m, n)))
+        from_floats = parse_json(json.dumps(_two_by_two(float(m), float(n))))
+        assert from_ints.table_m.tobytes() == from_floats.table_m.tobytes()
+        assert from_ints.table_n.tobytes() == from_floats.table_n.tobytes()
+        assert emit_json(from_ints) == emit_json(from_floats)
+
+    @pytest.mark.parametrize(
+        "drop, message",
+        [
+            (lambda d: d.pop("cells"), r"^\$: missing key 'cells'$"),
+            (
+                lambda d: d["parameters"][0].pop("name"),
+                r"^\$\.parameters\[0\]: missing key 'name'$",
+            ),
+            (
+                lambda d: d["parameters"][1].pop("importance"),
+                r"^\$\.parameters\[1\]: missing key 'importance'$",
+            ),
+            (
+                lambda d: d["parameters"][0]["importance"].pop("n"),
+                r"^\$\.parameters\[0\]\.importance: missing key 'n'$",
+            ),
+            (lambda d: d["cells"][3].pop("param"), r"^\$\.cells\[3\]: missing key 'param'$"),
+        ],
+        ids=["root", "parameter-name", "parameter-importance", "importance-n", "cell-param"],
+    )
+    def test_a_missing_key_is_named_with_its_path(self, drop, message):
+        doc = _two_by_two()
+        drop(doc)
+        with pytest.raises(ParseError, match=message):
             parse_json(json.dumps(doc))
 
 

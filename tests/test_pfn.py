@@ -328,7 +328,9 @@ class TestOneAlgebraForBothShapes:
         self._same_pfns(scalar_mul(0.3, self.a), [scalar_mul(0.3, x) for x, _, _ in self.cases])
         self._same_pfns(power(self.a, 2.5), [power(x, 2.5) for x, _, _ in self.cases])
 
-    @pytest.mark.parametrize("measure", [score, accuracy, expectation_score], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "measure", [score, accuracy, expectation_score, indeterminacy], ids=lambda f: f.__name__
+    )
     def test_measures(self, measure):
         scalars = [measure(x) for x, _, _ in self.cases]
         assert all(type(v) is float for v in scalars)
