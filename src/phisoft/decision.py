@@ -7,6 +7,7 @@ under a configurable total order.  Rank 1 is the optimal alternative.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -96,27 +97,34 @@ def decide_single(
     weights = importance_weights(softset.table_m[-1], softset.table_n[-1])
     m, n = pfwa_table(softset.m, softset.n, weights.values, config.aggregator)
     es, sf, af = _measures(m, n)
-    apfdvs = as_pfns(m, n, af)
-    primary, tiebreak = _order_key(config.ranking_order, m, es, sf, af)
-    # One argsort of the descending primary.  Rows whose primaries tie form
-    # runs in it (-0.0 == 0.0; as_pfns has refused NaN), and only they are
-    # re-sorted in place by the full key: tiebreak, larger m, then the id's
-    # place in the tied ids' string order.  That key never ties, so the ranks
-    # are a Python sort's on the 4-tuples, whatever the sort algorithm.
-    universe, count = softset.universe, len(softset.universe)
-    order = np.argsort(-primary)
-    q = primary[order]
-    ties = q[1:] == q[:-1]
-    if ties.any():
-        at = np.flatnonzero(np.append(ties, False) | np.insert(ties, 0, False))
-        tied = order[at]
-        names = [universe[i] for i in tied.tolist()]
-        ids = np.empty(len(tied), np.intp)
-        ids[sorted(range(len(tied)), key=names.__getitem__)] = np.arange(len(tied))
-        order[at] = tied[np.lexsort((ids, -m[tied], -tiebreak[tied], -primary[tied]))]
-    ranks = np.empty(count, np.intp)
-    ranks[order] = np.arange(1, count + 1)
-    # tuple.__new__ skips the generated __new__'s per-row argument binding
-    columns = zip(universe, apfdvs, es.tolist(), sf.tolist(), af.tolist(), ranks.tolist())
-    rows = tuple(map(tuple.__new__, repeat(AlternativeMeasures), columns))
+    # The report's PFNs and rows are acyclic: pause the collector while they are made
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        apfdvs = as_pfns(m, n, af)
+        primary, tiebreak = _order_key(config.ranking_order, m, es, sf, af)
+        # One argsort of the descending primary.  Rows whose primaries tie form
+        # runs in it (-0.0 == 0.0; as_pfns has refused NaN), and only they are
+        # re-sorted in place by the full key: tiebreak, larger m, then the id's
+        # place in the tied ids' string order.  That key never ties, so the ranks
+        # are a Python sort's on the 4-tuples, whatever the sort algorithm.
+        universe, count = softset.universe, len(softset.universe)
+        order = np.argsort(-primary)
+        q = primary[order]
+        ties = q[1:] == q[:-1]
+        if ties.any():
+            at = np.flatnonzero(np.append(ties, False) | np.insert(ties, 0, False))
+            tied = order[at]
+            names = [universe[i] for i in tied.tolist()]
+            ids = np.empty(len(tied), np.intp)
+            ids[sorted(range(len(tied)), key=names.__getitem__)] = np.arange(len(tied))
+            order[at] = tied[np.lexsort((ids, -m[tied], -tiebreak[tied], -primary[tied]))]
+        ranks = np.empty(count, np.intp)
+        ranks[order] = np.arange(1, count + 1)
+        # tuple.__new__ skips the generated __new__'s per-row argument binding
+        columns = zip(universe, apfdvs, es.tolist(), sf.tolist(), af.tolist(), ranks.tolist())
+        rows = tuple(map(tuple.__new__, repeat(AlternativeMeasures), columns))
+    finally:
+        if enabled:
+            gc.enable()
     return DecisionReport(rows=rows, weights=weights, combined=softset, config=config)

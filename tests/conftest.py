@@ -1,5 +1,7 @@
 """Shared fixtures: the worked medical-diagnosis tables and their goldens."""
 
+import gc
+
 import pytest
 
 from phisoft import build
@@ -94,6 +96,26 @@ __f__,"0.1,0.6","0.7,0.2","0.4,0.5","0.6,0.3"
 EMPTY_UNIVERSE_JSON = """\
 {"universe": [], "parameters": [{"name": "c", "importance": {"m": 0.5, "n": 0.4}}], "cells": []}
 """
+
+
+def collections_started(call):
+    """The generation of each cyclic collection that starts during `call()`,
+    under CPython's default thresholds (700, 10, 10)."""
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    gc.callbacks.append(count)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    return started
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Weight derivation and the two weighted-averaging operators."""
 
-import gc
+import decimal
 import math
 
 import numpy as np
@@ -9,10 +9,12 @@ import pytest
 from phisoft import (
     PFN,
     Aggregator,
+    CombineRule,
     DecisionConfig,
     PFParameter,
     WeightVector,
     build,
+    decide,
     decide_single,
     extended_intersection,
     pfwa_fold,
@@ -23,6 +25,7 @@ from phisoft import (
 from phisoft import aggregation
 from phisoft.aggregation import _CASCADE_MIN_ROWS, _row_sums, pfwa_table
 from phisoft.errors import DegenerateWeights, LengthMismatch
+from conftest import collections_started
 
 PAPER_WEIGHTS = {
     "s1": 0.21001927,
@@ -413,21 +416,49 @@ def test_rows_are_summed_without_a_list_per_row(aggregator):
     rng = np.random.default_rng(7)
     m, n = tall_pfns(rng, 20000, 8)
     w = positive_weight_rows(rng, 1, 8)[0].values
-    started = []
+    assert len(collections_started(lambda: pfwa_table(m, n, w, aggregator))) <= 5
 
-    def count(phase, info):
-        if phase == "start":
-            started.append(info["generation"])
 
-    threshold = gc.get_threshold()
-    gc.set_threshold(700, 10, 10)
-    gc.callbacks.append(count)
-    try:
-        pfwa_table(m, n, w, aggregator)
-    finally:
-        gc.callbacks.remove(count)
-        gc.set_threshold(*threshold)
-    assert len(started) <= 5
+#: Each `math` function the geometric kernel calls, and its exact value at a
+#: Decimal x in the current context.
+LIBM_EXACT = {
+    "log1p": lambda x: (1 + x).ln(),
+    "log": lambda x: x.ln(),
+    "expm1": lambda x: x.exp() - 1,
+    "exp": lambda x: x.exp(),
+}
+
+
+def test_the_kernels_libm_values_are_within_one_ulp(table1, table2, monkeypatch):
+    """Every finite nonzero value the geometric kernel takes from libm's
+    log1p, log, expm1 and exp is within 1 ulp of `decimal` at 50 digits,
+    on the paper pair under each rule and on a seeded table.  pfwa_table
+    looks the functions up at call time, so spies on `math` see each call."""
+    seen = {name: [] for name in LIBM_EXACT}
+
+    def spy(name, fn):
+        def recorded(x):
+            y = fn(x)
+            seen[name].append((x, y))
+            return y
+        return recorded
+
+    for name in LIBM_EXACT:
+        monkeypatch.setattr(math, name, spy(name, getattr(math, name)))
+    for rule in CombineRule:
+        decide(table1, table2, DecisionConfig(combine=rule))
+    rng = np.random.default_rng(61)
+    m, n = tall_pfns(rng, 1000, 8)
+    pfwa_table(m, n, positive_weight_rows(rng, 1, 8)[0].values, Aggregator.GEOMETRIC)
+    monkeypatch.undo()
+    with decimal.localcontext() as context:
+        context.prec = 50
+        for name, exact in LIBM_EXACT.items():
+            pairs = [(x, y) for x, y in seen[name] if math.isfinite(y) and y != 0.0]
+            assert len(pairs) >= (7000 if name.startswith("log") else 1000)
+            ulps = [abs(decimal.Decimal(y) - exact(decimal.Decimal(x))) / decimal.Decimal(math.ulp(y))
+                    for x, y in pairs]
+            assert max(ulps) <= 1, name
 
 
 def fsum_rows(terms):
