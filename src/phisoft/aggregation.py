@@ -173,8 +173,9 @@ def pfwa_table(
         # The weights may sum to 1 + ulp, which lifts a row of ones above 1.
         return np.minimum(_row_sums(m * w), 1.0), np.minimum(_row_sums(n * w), 1.0)
     out_m = _exp_log_sums(math.expm1, math.log1p, -(m * m), -1.0, w)
-    # + 0.0 turns the sqrt(-0.0) of an all-zero-membership row into 0.0
-    return np.sqrt(-out_m) + 0.0, _exp_log_sums(math.exp, math.log, n, 0.0, w)
+    # 0.0 - out_m is -out_m, but +0.0 where out_m is -0.0 or 0.0, so an
+    # all-zero-membership row gets sqrt(0.0) = 0.0, not sqrt(-0.0) = -0.0
+    return np.sqrt(0.0 - out_m), _exp_log_sums(math.exp, math.log, n, 0.0, w)
 
 
 def _pfwa(values: Sequence[PFN], weights: WeightVector, aggregator: Aggregator) -> PFN:

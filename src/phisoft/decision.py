@@ -59,13 +59,15 @@ class DecisionReport:
     """Everything the procedure produced, in universe order.
 
     `combined` is the intermediate step-2 set so the combination can be
-    audited; `rows` carry one rank per alternative, 1 = optimal.
+    audited; `rows` carry one rank per alternative, 1 = optimal.  `_order`
+    holds the rows' positions from rank 1 upward, as a read-only intp array.
     """
 
     rows: tuple[AlternativeMeasures, ...]
     weights: WeightVector
     combined: PhiSoftSet
     config: DecisionConfig = field(repr=False)
+    _order: np.ndarray = field(repr=False, compare=False)
 
     def row(self, alternative: str) -> AlternativeMeasures:
         for r in self.rows:
@@ -75,10 +77,10 @@ class DecisionReport:
 
     def ranking(self) -> tuple[str, ...]:
         """Alternative ids from rank 1 upward."""
-        return tuple(r.alternative for r in sorted(self.rows, key=lambda r: r.rank))
+        return tuple(map(self.combined.universe.__getitem__, self._order.tolist()))
 
     def optimal(self) -> str:
-        return min(self.rows, key=lambda r: r.rank).alternative
+        return self.combined.universe[self._order[0]]
 
 
 def decide(
@@ -109,7 +111,7 @@ def decide_single(
         # place in the tied ids' string order.  That key never ties, so the ranks
         # are a Python sort's on the 4-tuples, whatever the sort algorithm.
         universe, count = softset.universe, len(softset.universe)
-        order = np.argsort(-primary)
+        order = (-primary).argsort()
         q = primary[order]
         ties = q[1:] == q[:-1]
         if ties.any():
@@ -121,10 +123,11 @@ def decide_single(
             order[at] = tied[np.lexsort((ids, -m[tied], -tiebreak[tied], -primary[tied]))]
         ranks = np.empty(count, np.intp)
         ranks[order] = np.arange(1, count + 1)
+        order.setflags(write=False)
         # tuple.__new__ skips the generated __new__'s per-row argument binding
         columns = zip(universe, apfdvs, es.tolist(), sf.tolist(), af.tolist(), ranks.tolist())
         rows = tuple(map(tuple.__new__, repeat(AlternativeMeasures), columns))
     finally:
         if enabled:
             gc.enable()
-    return DecisionReport(rows=rows, weights=weights, combined=softset, config=config)
+    return DecisionReport(rows=rows, weights=weights, combined=softset, config=config, _order=order)

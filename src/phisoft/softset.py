@@ -247,9 +247,9 @@ def build(
     return PhiSoftSet(alts, names, m, n)
 
 
-def _layout(s: PhiSoftSet, universe, names) -> PFNArray:
+def _layout(s: PhiSoftSet, universe, names=None) -> PFNArray:
     """s's table with rows in `universe` order (importance row last) and
-    columns in `names` order.
+    columns in `names` order, or in s's own order when `names` is None.
 
     Raises KeyError unless `universe` lists s's alternatives, in any order,
     or for a name s lacks.
@@ -257,12 +257,12 @@ def _layout(s: PhiSoftSet, universe, names) -> PFNArray:
     row_of, col_of = s._lookup()
     if len(universe) != len(row_of):
         raise KeyError("the universes differ")
-    rows = [row_of[alt] for alt in universe] + [len(row_of)]
-    cols = [col_of[name] for name in names]
-    m, n = s.table_m, s.table_n
-    return PFNArray(
-        m.take(rows, axis=-2).take(cols, axis=-1), n.take(rows, axis=-2).take(cols, axis=-1)
-    )
+    rows = np.array([row_of[alt] for alt in universe] + [len(row_of)], np.intp)
+    m, n = s.table_m.take(rows, axis=-2), s.table_n.take(rows, axis=-2)
+    if names is None:
+        return PFNArray(m, n)
+    cols = np.array([col_of[name] for name in names], np.intp)
+    return PFNArray(m.take(cols, axis=-1), n.take(cols, axis=-1))
 
 
 # The per-table reductions of two aligned tables (one of them from `_layout`)
@@ -325,7 +325,7 @@ def combine(a: PhiSoftSet, b: PhiSoftSet, rule: CombineRule) -> PhiSoftSet:
     as sets, or, under a restricted rule, EmptyIntersection if none is shared."""
     extended = rule.name.startswith("EXTENDED_")
     try:
-        b_table = _layout(b, a.universe, b.parameter_names)
+        b_table = _layout(b, a.universe)
     except KeyError:
         raise UniverseMismatch(
             f"universes differ: {sorted(a.universe)} vs {sorted(b.universe)}"
@@ -341,12 +341,15 @@ def combine(a: PhiSoftSet, b: PhiSoftSet, rule: CombineRule) -> PhiSoftSet:
     wide = len(a_cols)
     of_a = [a_cols[name] if name in a_cols else wide + b_cols[name] for name in names]
     of_b = [wide + b_cols[name] if name in b_cols else a_cols[name] for name in names]
-    m = np.concatenate((a.table_m, b_table.m), axis=1)
-    n = np.concatenate((a.table_n, b_table.n), axis=1)
-    a_side, b_side = (PFNArray(m.take(cols, axis=1), n.take(cols, axis=1)) for cols in (of_a, of_b))
+    # One take per component gives both sides, as [:, 0] and [:, 1]; the
+    # index array is intp also when a set with no parameters leaves it empty.
+    cols = np.array((of_a, of_b), np.intp)
+    m = np.concatenate((a.table_m, b_table.m), axis=1).take(cols, axis=1)
+    n = np.concatenate((a.table_n, b_table.n), axis=1).take(cols, axis=1)
     # Join and meet of valid PFNs are valid, so the result needs no checks.
     lattice = join if rule.name.endswith("_UNION") else meet
-    return PhiSoftSet(a.universe, tuple(names), *lattice(a_side, b_side))
+    combined = lattice(PFNArray(m[:, 0], n[:, 0]), PFNArray(m[:, 1], n[:, 1]))
+    return PhiSoftSet(a.universe, tuple(names), *combined)
 
 
 def extended_union(a: PhiSoftSet, b: PhiSoftSet) -> PhiSoftSet:

@@ -24,7 +24,7 @@ from phisoft import (
     equals,
 )
 from phisoft.pfn import (
-    PFN, VALIDITY_EPS, PFNArray, accuracy, expectation_score, order_key, score,
+    _FILL_MIN_ROWS, PFN, VALIDITY_EPS, PFNArray, accuracy, expectation_score, order_key, score,
 )
 from phisoft.errors import (
     DegenerateWeights,
@@ -243,22 +243,22 @@ def reference_ranks(universe, m, n, order):
     return ranks
 
 
-def _seeded_table(seed, grid):
-    """A 2000×6 set with shuffled mixed-script ids.  With `grid`, every row
-    is one of 20 rows of tenths, so about 100 alternatives tie exactly on
-    all three numeric keys and the id decides among them."""
+def _seeded_table(seed, grid, rows=2000):
+    """A rows×6 set with shuffled mixed-script ids.  With `grid`, every row
+    is one of 20 rows of tenths, so at 2000 rows about 100 alternatives tie
+    exactly on all three numeric keys and the id decides among them."""
     rng = np.random.default_rng(seed)
     prefixes = ("a", "B", "b", "é", "Z", "z0", "_")
-    universe = [f"{prefixes[k % len(prefixes)]}{k}" for k in range(2000)]
-    universe = [universe[k] for k in rng.permutation(2000)]
+    universe = [f"{prefixes[k % len(prefixes)]}{k}" for k in range(rows)]
+    universe = [universe[k] for k in rng.permutation(rows)]
     names = [f"c{j}" for j in range(6)]
     if grid:
-        pick = rng.integers(0, 20, 2001)
+        pick = rng.integers(0, 20, rows + 1)
         m = (rng.integers(0, 8, (20, 6)) / 10.0)[pick]
         n = (rng.integers(0, 8, (20, 6)) / 10.0)[pick]
     else:
-        m = rng.random((2001, 6))
-        n = rng.random((2001, 6)) * np.sqrt(1.0 - m * m)
+        m = rng.random((rows + 1, 6))
+        n = rng.random((rows + 1, 6)) * np.sqrt(1.0 - m * m)
     cells = {(alt, name): (m[i, j], n[i, j]) for i, alt in enumerate(universe) for j, name in enumerate(names)}
     return build(universe, [(name, (m[-1, j], n[-1, j])) for j, name in enumerate(names)], cells)
 
@@ -309,7 +309,11 @@ def _tall_table(seed, planted):
     return build(universe, [(name, (m[-1, j], n[-1, j])) for j, name in enumerate(names)], cells)
 
 
+#: Rows of the longest report whose APFDVs `as_pfns` makes with the constructor.
+SHORT = _FILL_MIN_ROWS - 1
+
 RANK_TABLES = {
+    "seeded-short": lambda: _seeded_table(7, grid=False, rows=SHORT),
     "seeded-2000x6": lambda: _seeded_table(3, grid=False),
     "seeded-2000x6-grid": lambda: _seeded_table(4, grid=True),
     "identical-rows": _tied_table,
@@ -328,6 +332,18 @@ def test_ranks_equal_the_tuple_key_sort(family, aggregator, order):
     n = [r.apfdv.n for r in report.rows]
     assert [r.alternative for r in report.rows] == list(s.universe)
     assert [r.rank for r in report.rows] == reference_ranks(s.universe, m, n, order)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.value)
+@pytest.mark.parametrize("aggregator", list(Aggregator), ids=lambda a: a.value)
+@pytest.mark.parametrize("family", [*RANK_TABLES, "paper-pair"])
+def test_ranking_and_optimal_follow_the_ranks(family, aggregator, order, table1, table2):
+    s = extended_intersection(table1, table2) if family == "paper-pair" else RANK_TABLES[family]()
+    report = decide_single(s, DecisionConfig(aggregator=aggregator, ranking_order=order))
+    by_rank = tuple(r.alternative for r in sorted(report.rows, key=lambda r: r.rank))
+    assert report.ranking() == by_rank
+    assert report.optimal() == by_rank[0]
+    assert type(report.optimal()) is str and all(type(alt) is str for alt in report.ranking())
 
 
 def test_identical_rows_rank_in_python_string_order():
@@ -429,7 +445,7 @@ def test_row_contract(table1, table2):
     assert report.rows[1] != row
 
 
-# --- the APFDVs: one array check, then true PFNs with no constructor call ----
+# --- the APFDVs: true PFNs, constructed on short reports, else filled --------
 
 def _signed_zeros(kernel):
     """`kernel` with the zero memberships of every other row made -0.0."""
@@ -485,6 +501,24 @@ def test_apfdvs_are_frozen_pfns_equal_to_the_constructors(family, aggregator, or
     assert unfrozen == 0
 
 
+@pytest.mark.parametrize("rows", [SHORT, _FILL_MIN_ROWS])
+def test_short_reports_call_the_constructor_once_per_row(rows, monkeypatch):
+    s = _seeded_table(5, grid=False, rows=rows)
+    calls = []
+    init = PFN.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PFN, "__init__", counted)
+    for aggregator in Aggregator:
+        report = decide_single(s, DecisionConfig(aggregator=aggregator))
+        apfdvs = [(r.apfdv.m, r.apfdv.n) for r in report.rows]
+        assert calls == (apfdvs if rows < _FILL_MIN_ROWS else [])
+        calls.clear()
+
+
 def test_a_valid_report_makes_no_pfn_constructor_call(monkeypatch):
     s = _seeded_table(5, grid=False)
     calls = []
@@ -510,7 +544,7 @@ def _just_outside_the_disk():
     return m, n
 
 
-@pytest.mark.parametrize("bad", [
+BAD_ROWS = pytest.mark.parametrize("bad", [
     {3: (1.5, 0.2)},
     {3: (math.nan, 0.2)},
     {3: (0.2, math.nan)},
@@ -518,7 +552,12 @@ def _just_outside_the_disk():
     {2: _just_outside_the_disk(), 5: (1.5, 0.2)},
     {4: (-0.25, 0.2), 6: (math.nan, math.nan)},
 ], ids=["m-above-1", "m-nan", "n-nan", "off-the-disk", "two-bad-rows", "negative-then-nan"])
-def test_a_bad_kernel_row_raises_what_the_constructor_raises(bad, monkeypatch):
+
+
+def _raises_what_the_constructor_raises(bad, rows, monkeypatch):
+    """decide_single on a rows×6 table whose kernel returns the `bad` rows
+    raises what the constructor raises for the first, and leaves the
+    collector enabled."""
     kernel = decision.pfwa_table
 
     def broken(*args):
@@ -532,13 +571,25 @@ def test_a_bad_kernel_row_raises_what_the_constructor_raises(bad, monkeypatch):
     with pytest.raises((OutOfRange, NotPythagorean)) as constructed:
         PFN(*bad[first])
     monkeypatch.setattr(decision, "pfwa_table", broken)
-    s = _seeded_table(6, grid=False)
+    s = _seeded_table(6, grid=False, rows=rows)
     for aggregator in Aggregator:
         with pytest.raises(type(constructed.value)) as raised:
             decide_single(s, DecisionConfig(aggregator=aggregator))
         assert type(raised.value) is type(constructed.value)
         assert str(raised.value) == str(constructed.value)
         assert gc.isenabled()  # raised inside the paused block
+
+
+@BAD_ROWS
+def test_a_bad_kernel_row_raises_what_the_constructor_raises(bad, monkeypatch):
+    _raises_what_the_constructor_raises(bad, 2000, monkeypatch)
+
+
+@BAD_ROWS
+@pytest.mark.parametrize("rows", [SHORT, _FILL_MIN_ROWS])
+def test_a_bad_row_of_a_short_report_raises_what_the_constructor_raises(bad, rows, monkeypatch):
+    """Both sides of `as_pfns`' row-count switch."""
+    _raises_what_the_constructor_raises(bad, rows, monkeypatch)
 
 
 # --- the report is built with the cyclic collector paused -------------------

@@ -1,5 +1,6 @@
 """Unit tests for the PFN value type, its algebra, and the orders."""
 
+import itertools
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from phisoft.errors import (
     OutOfRange,
     ParseError,
 )
-from phisoft.pfn import PFNArray, below, valid
+from phisoft.pfn import VALIDITY_EPS, PFNArray, _valid, below, valid
 from phisoft.pfn import close as pfn_close
 
 EPS = 1e-12
@@ -360,3 +361,41 @@ class TestOneAlgebraForBothShapes:
             else:
                 with pytest.raises((OutOfRange, NotPythagorean)):
                     PFN(m, n)
+
+
+# --- the validity test: seven array operations, the nine comparisons' truth --
+
+def _nine_comparisons(m, n, af):
+    """The validity test as it was written before, with nine operations."""
+    in_range = (0.0 <= m) & (m <= 1.0) & (0.0 <= n) & (n <= 1.0)
+    return in_range & (af <= 1.0 + VALIDITY_EPS)
+
+
+VALIDITY_EDGES = (0.0, -0.0, 5e-324, -5e-324, 0.5, 1.0, math.nextafter(1.0, 2.0),
+                  math.nan, math.inf, -math.inf)
+ACCURACY_EDGES = (*VALIDITY_EDGES, 1.0 + VALIDITY_EPS, math.nextafter(1.0 + VALIDITY_EPS, 2.0))
+
+
+def test_the_validity_test_agrees_with_nine_comparisons_at_the_edges():
+    grid = np.meshgrid(VALIDITY_EDGES, VALIDITY_EDGES, ACCURACY_EDGES, indexing="ij")
+    m, n, af = (axis.ravel() for axis in grid)
+    expected = _nine_comparisons(m, n, af)
+    assert expected.any() and not expected.all()
+    got = _valid(m, n, af)
+    assert got.dtype == np.bool_ and got.tolist() == expected.tolist()
+    x = PFNArray(m, n)
+    assert valid(x).tolist() == _nine_comparisons(m, n, accuracy(x)).tolist()
+
+
+def test_valid_of_a_pfn_is_a_python_bool():
+    """PFN-shaped inputs of Python floats, the constructor bypassed so that
+    invalid pairs can be made too."""
+    flags = []
+    for m, n in itertools.product(VALIDITY_EDGES, repeat=2):
+        x = object.__new__(PFN)
+        object.__setattr__(x, "m", m)
+        object.__setattr__(x, "n", n)
+        flag = valid(x)
+        assert type(flag) is bool and flag is _nine_comparisons(m, n, m * m + n * n)
+        flags.append(flag)
+    assert any(flags) and not all(flags)
