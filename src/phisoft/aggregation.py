@@ -36,7 +36,12 @@ class WeightVector:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(map(float, self.values))
+        try:
+            values = tuple(map(float, self.values))
+        except OverflowError:
+            raise DegenerateWeights(
+                "weights must lie in [0, 1], got a number beyond float range"
+            ) from None
         object.__setattr__(self, "values", values)
         if not values:
             raise DegenerateWeights("weight vector may not be empty")

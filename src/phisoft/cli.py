@@ -7,6 +7,7 @@ errors.  Diagnostics go to stderr; all payload output is deterministic.
 from __future__ import annotations
 
 import argparse
+import builtins
 import sys
 from pathlib import Path
 
@@ -85,18 +86,15 @@ def _cmd_decide(args) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def int_at_least(low: int):
+    """The argparse type of an integer of at least `low`.  It is named int, so
+    argparse words a non-number "invalid int value: 'x'"."""
+    def int(text: str):
+        value = builtins.int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return int
 
 
 def _cmd_laws(args) -> int:
@@ -143,8 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laws", help="run the randomized law suites")
     # no defaults here: laws.DEFAULT_CASES and DEFAULT_SEED, read when the suites load
-    p.add_argument("--cases", type=positive_int)
-    p.add_argument("--seed", type=non_negative_int)
+    p.add_argument("--cases", type=int_at_least(1))
+    p.add_argument("--seed", type=int_at_least(0))
     p.set_defaults(func=_cmd_laws)
 
     return parser

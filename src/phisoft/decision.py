@@ -8,7 +8,7 @@ under a configurable total order.  Rank 1 is the optimal alternative.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import NamedTuple
 
@@ -33,12 +33,11 @@ class DecisionConfig:
     ranking_order: OrderKind = OrderKind.ES_THEN_MEMBERSHIP
 
     def __post_init__(self):
-        for name, kind in (("combine", CombineRule), ("aggregator", Aggregator),
-                           ("ranking_order", OrderKind)):
-            value = getattr(self, name)
+        for f in fields(self):  # each default is a member of its field's enum
+            value, kind = getattr(self, f.name), type(f.default)
             if not isinstance(value, kind):
                 article = "an" if kind.__name__[0] in "AEIOU" else "a"
-                raise InvalidConfig(f"{name}: expected {article} {kind.__name__}, got {value!r}")
+                raise InvalidConfig(f"{f.name}: expected {article} {kind.__name__}, got {value!r}")
         if self.ranking_order is OrderKind.LATTICE:
             raise InvalidConfig("ranking_order: needs a total order, not the lattice order")
 
@@ -107,9 +106,8 @@ def decide_single(
         primary, tiebreak = _order_key(config.ranking_order, m, es, sf, af)
         # One argsort of the descending primary.  Rows whose primaries tie form
         # runs in it (-0.0 == 0.0; as_pfns has refused NaN), and only they are
-        # re-sorted in place by the full key: tiebreak, larger m, then the id's
-        # place in the tied ids' string order.  That key never ties, so the ranks
-        # are a Python sort's on the 4-tuples, whatever the sort algorithm.
+        # sorted again, by their (-primary, -tiebreak, -m, id) tuples, into the
+        # same positions.  Ids are unique, so no two tuples tie.
         universe, count = softset.universe, len(softset.universe)
         order = (-primary).argsort()
         q = primary[order]
@@ -117,10 +115,8 @@ def decide_single(
         if ties.any():
             at = np.flatnonzero(np.append(ties, False) | np.insert(ties, 0, False))
             tied = order[at]
-            names = [universe[i] for i in tied.tolist()]
-            ids = np.empty(len(tied), np.intp)
-            ids[sorted(range(len(tied)), key=names.__getitem__)] = np.arange(len(tied))
-            order[at] = tied[np.lexsort((ids, -m[tied], -tiebreak[tied], -primary[tied]))]
+            keys, ids = (-np.stack((primary, tiebreak, m))[:, tied]).tolist(), tied.tolist()
+            order[at] = [row[-1] for row in sorted(zip(*keys, map(universe.__getitem__, ids), ids))]
         ranks = np.empty(count, np.intp)
         ranks[order] = np.arange(1, count + 1)
         order.setflags(write=False)

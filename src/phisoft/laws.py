@@ -9,6 +9,7 @@ line print it and the test suite assert on it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial, wraps
 from itertools import product
@@ -63,30 +64,48 @@ def _diff(a: PFN, b: PFN) -> str:
     return f"left={a!r} right={b!r} dm={a.m - b.m:.3e} dn={a.n - b.n:.3e}"
 
 
-def _counted(suite):
-    """`suite`, which refuses a case count below 1 before it draws."""
-    @wraps(suite)
-    def counted(rng, cases: int) -> LawResult:
-        if cases < 1:
-            raise InvalidConfig(f"cases must be at least 1, got {cases!r}")
-        return suite(rng, cases)
-    return counted
+def _suite(name: str):
+    """The law suite `name` of `batch(rng, cases)`, which draws and checks every
+    case at once and returns per-case `failed` flags and `replay(i)`: case i's
+    counterexample through the public API, or None.  The suite refuses a case
+    count that is not an integer of at least 1 before it draws, then replays
+    case 0 and the first flagged case."""
+    def frame(batch):
+        @wraps(batch)
+        def suite(rng, cases: int) -> LawResult:
+            try:
+                cases = operator.index(cases)
+            except TypeError:
+                raise InvalidConfig(f"cases must be an integer, got {cases!r}") from None
+            if cases < 1:
+                raise InvalidConfig(f"cases must be at least 1, got {cases!r}")
+            failed, replay = batch(rng, cases)
+            for i in sorted({0, int(failed.argmax())}):
+                counterexample = replay(i)
+                if counterexample is None and failed[i]:
+                    counterexample = f"case {i} fails in the batched check only"
+                if counterexample is not None:
+                    return LawResult(name, cases, counterexample)
+            return LawResult(name, cases)
+        suite.__name__ = suite.__qualname__ = name.replace("-", "_")
+        return suite
+    return frame
 
 
 def _law(name: str, labels: tuple[str, ...], points: int, check, draw=_sample_alphas):
-    """A suite that checks every case at once.  It draws, for all cases, a PFN
-    for each of the first `points` labels, then a scalar (`draw(rng, count)`)
-    for each other label.  `check(*case)` yields (holds, word) pairs: whether a
-    law holds, and `word(shown)`, its counterexample given the case as
-    `label=value` text.  It runs on all cases as PFNArrays and arrays, then
-    (`_replayed`) on case 0 and the first failing case as PFNs and floats."""
+    """The suite `name` of `check`, which it runs on every case at once.  It
+    draws, for all cases, a PFN for each of the first `points` labels, then a
+    scalar (`draw(rng, count)`) for each other label.  `check(*case)` yields
+    (holds, word) pairs: whether a law holds, and `word(shown)`, its
+    counterexample given the case as `label=value` text.  It runs on all cases
+    as PFNArrays and arrays, then on the replayed cases as PFNs and floats."""
     scalars = len(labels) - points
 
-    def law(rng, cases: int) -> LawResult:
+    def batch(rng, cases: int):
         drawn = _sample_points(rng, points * cases).reshape(cases, points, 2)
         alphas = draw(rng, scalars * cases).reshape(cases, scalars)
-        batch = (*(PFNArray(*p) for p in drawn.transpose(1, 2, 0)), *alphas.T)
-        ok = np.all([holds for holds, _ in check(*batch)], axis=0)
+        columns = (*(PFNArray(*p) for p in drawn.transpose(1, 2, 0)), *alphas.T)
+        ok = np.all([holds for holds, _ in check(*columns)], axis=0)
 
         def replay(i: int) -> str | None:
             case = (*map(PFN, *drawn[i].T.tolist()), *alphas[i].tolist())
@@ -96,11 +115,10 @@ def _law(name: str, labels: tuple[str, ...], points: int, check, draw=_sample_al
             except PhiSoftError as exc:  # a result is not a valid PFN
                 return f"{shown}: {exc}"
 
-        return _replayed(name, cases, ~ok, replay)
+        return ~ok, replay
 
-    law.__name__ = law.__qualname__ = name.replace("-", "_")
-    law.__doc__ = check.__doc__
-    return _counted(law)
+    batch.__doc__ = check.__doc__
+    return _suite(name)(batch)
 
 
 @partial(_law, "closure-of-pfn-operations", ("a", "b", "alpha"), 2)
@@ -230,8 +248,8 @@ def equal_score_tiebreaks_agree(x, t):
         yield np.any(c, axis=0) == np.all(c, axis=0), lambda _: f"x={a!r} y={b!r} -> {c}"
 
 
-@_counted
-def geometric_closed_form_matches_fold(rng, cases: int) -> LawResult:
+@_suite("geometric-closed-form-matches-fold")
+def geometric_closed_form_matches_fold(rng, cases: int):
     """Closed-form weighted averaging equals the constructive add_p fold.
 
     Case i is the first k[i] (1 to 8) PFNs and weights of row i of (cases,
@@ -262,7 +280,7 @@ def geometric_closed_form_matches_fold(rng, cases: int) -> LawResult:
             return f"values={values!r} weights={weights.values!r} {_diff(closed, folded)}"
         return None
 
-    return _replayed("geometric-closed-form-matches-fold", cases, failed, replay)
+    return failed, replay
 
 
 # The set suites check 2 x 2 sets, every case at once.  Each case's table is
@@ -289,19 +307,6 @@ def _case(m: np.ndarray, n: np.ndarray, i: int) -> PhiSoftSet:
     return build(_UNIVERSE, zip(_NAMES, importances), cells)
 
 
-def _replayed(name: str, cases: int, failed: np.ndarray, replay) -> LawResult:
-    """The verdict on per-case batched `failed` flags.  `replay(i)` checks
-    case i through the public API and returns its counterexample or None; it
-    runs on case 0 and on the first flagged case."""
-    for i in sorted({0, int(failed.argmax())}):
-        counterexample = replay(i)
-        if counterexample is None and failed[i]:
-            counterexample = f"case {i} fails in the batched check only"
-        if counterexample is not None:
-            return LawResult(name, cases, counterexample)
-    return LawResult(name, cases)
-
-
 def _identities_case(x: PhiSoftSet, i: int, null: PhiSoftSet, whole: PhiSoftSet) -> str | None:
     variant = "restricted" if i % 2 else "extended"
     union, intersection = (CombineRule[variant.upper() + op] for op in ("_UNION", "_INTERSECTION"))
@@ -319,8 +324,8 @@ def _identities_case(x: PhiSoftSet, i: int, null: PhiSoftSet, whole: PhiSoftSet)
     return None
 
 
-@_counted
-def combination_identities(rng, cases: int) -> LawResult:
+@_suite("combination-identities")
+def combination_identities(rng, cases: int):
     """Idempotence plus the null/whole absorption identities.
 
     Cases alternate between the extended and the restricted operators.
@@ -336,8 +341,7 @@ def combination_identities(rng, cases: int) -> LawResult:
     ok = close(join(x, x), x) & close(meet(x, x), x)
     ok &= close(join(x, lo), x) & close(meet(x, lo), lo)
     ok &= close(join(x, hi), hi) & close(meet(x, hi), x)
-    replay = lambda i: _identities_case(_case(*x, i), i, null, whole)  # noqa: E731
-    return _replayed("combination-identities", cases, ~ok, replay)
+    return ~ok, lambda i: _identities_case(_case(*x, i), i, null, whole)
 
 
 def _shrunk(m: np.ndarray, n: np.ndarray, u: np.ndarray, v: np.ndarray) -> PFNArray:
@@ -378,8 +382,8 @@ def _subset_case(b: PhiSoftSet, a: PhiSoftSet, c: PhiSoftSet) -> str | None:
     return None
 
 
-@_counted
-def subset_is_transitive_and_antisymmetric(rng, cases: int) -> LawResult:
+@_suite("subset-is-transitive-and-antisymmetric")
+def subset_is_transitive_and_antisymmetric(rng, cases: int):
     """a <= b <= c for b's shrunk and grown copies; subset is transitive,
     antisymmetric against b in reversed order, and does not collapse.
 
@@ -390,8 +394,7 @@ def subset_is_transitive_and_antisymmetric(rng, cases: int) -> LawResult:
     ok = dominated(a, b) & dominated(b, c) & dominated(a, c)
     ok &= dominated(b, b) & close(b, b)
     ok &= close(a, c) | ~dominated(c, a)
-    replay = lambda i: _subset_case(*(_case(*t, i) for t in (b, a, c)))  # noqa: E731
-    return _replayed("subset-is-transitive-and-antisymmetric", cases, ~ok, replay)
+    return ~ok, lambda i: _subset_case(*(_case(*t, i) for t in (b, a, c)))
 
 
 ALL_LAWS = (

@@ -46,11 +46,14 @@ class PFN:
 
     def __post_init__(self):
         m, n = self.m, self.n
-        if type(m) is not float:
-            m = float(m)
+        if type(m) is not float or type(n) is not float:
+            try:
+                m, n = float(m), float(n)
+            except OverflowError:  # an integer beyond double range
+                raise OutOfRange(
+                    "degrees must lie in [0, 1], got a number beyond float range"
+                ) from None
             object.__setattr__(self, "m", m)
-        if type(n) is not float:
-            n = float(n)
             object.__setattr__(self, "n", n)
         if not (0.0 <= m <= 1.0 and 0.0 <= n <= 1.0):
             raise OutOfRange(f"degrees must lie in [0, 1], got ({m}, {n})")

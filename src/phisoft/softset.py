@@ -236,7 +236,7 @@ def build(
     values = [(v.m, v.n) if isinstance(v, PFN) else v for v in values]
     try:
         ms, ns = [float(m) for m, _ in values], [float(n) for _, n in values]
-    except (TypeError, ValueError):  # an entry is not a pair of numbers
+    except (TypeError, ValueError, OverflowError):  # an entry is not a pair of doubles
         for k, value in enumerate(values):
             _reject(value, alts, names, *divmod(k, len(names)))
         raise

@@ -83,6 +83,19 @@ class TestWeights:
                 WeightVector(values)
             assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("values", [(10**400,), (0.5, -10**400)], ids=["large", "negative"])
+    def test_an_integer_beyond_double_range_is_a_degenerate_weight(self, values):
+        with pytest.raises(DegenerateWeights) as raised:
+            WeightVector(values)
+        assert str(raised.value) == "weights must lie in [0, 1], got a number beyond float range"
+
+    def test_a_weight_vector_indexes_and_slices_its_values(self):
+        w = WeightVector((0.25, 0.5, 0.25))
+        assert (w[0], w[1], w[-1]) == (0.25, 0.5, 0.25)
+        assert w[1:] == (0.5, 0.25)
+        with pytest.raises(IndexError):
+            w[3]
+
 
 class TestLinear:
     def test_single_value(self):

@@ -191,6 +191,13 @@ def test_laws_refuses_a_negative_seed(capsys):
     assert "usage:" in err and "--seed: must be at least 0, got -1" in err
 
 
+@pytest.mark.parametrize("option,text", [("--cases", "x"), ("--cases", "2.5"), ("--seed", "1.5")])
+def test_laws_refuses_a_count_that_is_not_an_integer(option, text, capsys):
+    assert main(["laws", option, text]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"{option}: invalid int value: '{text}'" in err
+
+
 def test_laws_reproducible(capsys):
     main(["laws", "--cases", "120", "--seed", "99"])
     first = capsys.readouterr().out

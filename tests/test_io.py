@@ -47,6 +47,16 @@ class TestParseCsv:
         got = parse_csv(text)
         assert got.cell("p1", "s1") == PFN(0.5, 0.4)
 
+    @pytest.mark.parametrize("line", [2, 4])
+    def test_a_field_over_the_csv_limit_is_located(self, line):
+        rows = ['p1,"0.5,0.4"', 'p2,"0.5,0.4"', 'p3,"0.5,0.4"']
+        rows[line - 2] = f'p{line - 1},"{"0" * 140_000}"'
+        text = "\n".join(["id,s1", *rows, '__f__,"0.5,0.4"']) + "\n"
+        with pytest.raises(ParseError) as raised:
+            parse_csv(text)
+        assert str(raised.value) == f"line {line}: field larger than field limit (131072)"
+        assert raised.value.line == line
+
     def test_header_only_fails(self):
         with pytest.raises(ParseError, match="no alternatives"):
             parse_csv("id,s1\n")

@@ -140,6 +140,25 @@ def test_a_case_count_below_one_is_refused_before_any_draw(cases):
     assert rng.random() == np.random.default_rng(1).random()
 
 
+@pytest.mark.parametrize("cases", [2.5, None, "3", np.float64(4.0)])
+def test_a_case_count_that_is_not_an_integer_is_refused_before_any_draw(cases):
+    message = rf"^cases must be an integer, got {re.escape(repr(cases))}$"
+    with pytest.raises(InvalidConfig, match=message):
+        laws.run_all(cases, 1)
+    rng = np.random.default_rng(1)
+    for law in laws.ALL_LAWS:
+        with pytest.raises(InvalidConfig, match=message):
+            law(rng, cases)
+    assert rng.random() == np.random.default_rng(1).random()
+
+
+def test_a_numpy_integer_case_count_runs_as_that_many_cases():
+    results = laws.run_all(np.int64(5), 3)
+    assert [r.cases for r in results] == [5] * len(laws.ALL_LAWS)
+    assert all(type(r.cases) is int for r in results)
+    assert laws.render_report(results, 3) == laws.render_report(laws.run_all(5, 3), 3)
+
+
 # `pfn_close` stand-ins that fail on some cases, so every identity suite
 # prints a counterexample, commute's with the prefix given.  The report
 # hashes were taken on the per-suite loops the identity table replaced.
@@ -378,10 +397,11 @@ class TestBatchedSetSuites:
         assert str(built.value).startswith("cell (a2, c1): m**2 + n**2 = ")
 
     def test_a_failure_only_the_batch_sees_is_reported(self):
-        failed = np.array([False, False, True, True])
-        result = laws._replayed("demo-law", 4, failed, lambda i: None)
+        def suite(failed):
+            return laws._suite("demo-law")(lambda rng, cases: (failed, lambda i: None))
+        result = suite(np.array([False, False, True, True]))(None, 4)
         assert result.counterexample == "case 2 fails in the batched check only"
-        assert laws._replayed("demo-law", 4, np.zeros(4, bool), lambda i: None).ok
+        assert suite(np.zeros(4, bool))(None, 4).ok
 
 
 # --- the batched geometric suite against its per-case reference ------------

@@ -31,7 +31,7 @@ from phisoft.errors import (
     OutOfRange,
     ParseError,
 )
-from phisoft.pfn import VALIDITY_EPS, PFNArray, _valid, below, valid
+from phisoft.pfn import VALIDITY_EPS, PFNArray, _valid, below, order_key, valid
 from phisoft.pfn import close as pfn_close
 
 EPS = 1e-12
@@ -61,6 +61,14 @@ class TestConstruction:
     def test_coerces_ints(self):
         x = PFN(1, 0)
         assert isinstance(x.m, float) and x.m == 1.0
+
+    @pytest.mark.parametrize(
+        "m,n", [(10**400, 0.0), (0.5, -10**400), (0, 10**400)], ids=["m", "negative-n", "int-n"]
+    )
+    def test_an_integer_beyond_double_range_is_out_of_range(self, m, n):
+        with pytest.raises(OutOfRange) as raised:
+            PFN(m, n)
+        assert str(raised.value) == "degrees must lie in [0, 1], got a number beyond float range"
 
 
 class TestBasicOps:
@@ -207,6 +215,10 @@ class TestCompare:
             compare(PFN(0.5, 0.2), PFN(0.3, 0.7), OrderKind.LATTICE)
             is Ordering.GREATER
         )
+
+    def test_the_lattice_order_has_no_sort_key(self):
+        with pytest.raises(TypeError, match="^not a total order: <OrderKind.LATTICE: 'lattice'>$"):
+            order_key(OrderKind.LATTICE, 0.5, 0.3)
 
     def test_reflexivity_everywhere(self):
         x = PFN(0.37, 0.61)

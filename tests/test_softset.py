@@ -91,6 +91,17 @@ class TestBuild:
         with pytest.raises(InvalidPFN, match=r"\(p1, s1\)"):
             build(["p1"], [("s1", (0.5, 0.4))], {("p1", "s1"): (0.9, 0.9)})
 
+    @pytest.mark.parametrize("cell,importance,where", [
+        ((10**400, 0.1), (0.5, 0.4), "cell (p1, s1)"),
+        ((0.5, 0.4), (0.1, 10**400), "importance of 's1'"),
+    ], ids=["cell", "importance"])
+    def test_an_integer_beyond_double_range_is_named(self, cell, importance, where):
+        with pytest.raises(InvalidPFN) as raised:
+            build(["p1"], [("s1", importance)], {("p1", "s1"): cell})
+        assert str(raised.value) == (
+            f"{where}: degrees must lie in [0, 1], got a number beyond float range"
+        )
+
     @pytest.mark.parametrize("bad", [(0.4,), (0.9, 0.9)], ids=["one-tuple", "out-of-disk"])
     def test_one_bad_pair_among_pfns_is_named(self, bad):
         cells = {(alt, name): PFN(0.5, 0.5) for alt in ("p1", "p2") for name in ("s1", "s2")}
@@ -151,6 +162,14 @@ class TestSubsetAndEquality:
 
     def test_disjoint_parameter_sets_are_not_subsets(self, table1, table2):
         assert not is_subset(table1, table2)  # s1 absent from the other set
+
+    def test_sets_with_different_parameter_counts_are_not_equal(self, table1):
+        fewer = build(UNIVERSE, TABLE1_PARAMS[:-1], {
+            key: value for key, value in TABLE1_CELLS.items() if key[1] != TABLE1_PARAMS[-1][0]
+        })
+        assert not equals(table1, fewer)
+        assert not equals(fewer, table1)
+        assert equals(fewer, fewer)
 
     def test_different_universes_are_not_subsets(self, table1):
         other = build(["q1"], TABLE1_PARAMS, {
@@ -385,6 +404,10 @@ class TestConstantSets:
     def test_constant_rejects_invalid_pairs(self):
         with pytest.raises(NotPythagorean):
             constant_set(["p1"], ["c1"], 0.8, 0.8)
+
+    def test_constant_rejects_an_integer_beyond_double_range(self):
+        with pytest.raises(OutOfRange, match=r"^degrees must lie in \[0, 1\], got a number beyond"):
+            constant_set(["p1"], ["c1"], 10**400, 0)
 
     def test_null_and_whole(self):
         names = ["c1", "c2"]
