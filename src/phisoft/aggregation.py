@@ -9,6 +9,7 @@ are normalized expectation scores of the importance degrees.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DegenerateWeights, LengthMismatch
-from .pfn import PFN, PFNArray, _libm, add_p, expectation_score, scalar_mul
+from .pfn import PFN, PFNArray, _libm, _real, add_p, expectation_score, scalar_mul
 from .softset import PFParameter
 
 #: Allowed deviation of a weight vector's sum from 1.
@@ -36,12 +37,15 @@ class WeightVector:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        values = tuple(self.values)  # the error path reads them twice
         try:
-            values = tuple(map(float, self.values))
+            values = tuple(array("d", values))  # `_real` of each, in one call
         except OverflowError:
             raise DegenerateWeights(
                 "weights must lie in [0, 1], got a number beyond float range"
             ) from None
+        except (TypeError, ValueError):  # `_real` names the first that is not a number
+            values = tuple(_real(v, "weights", DegenerateWeights) for v in values)
         object.__setattr__(self, "values", values)
         if not values:
             raise DegenerateWeights("weight vector may not be empty")

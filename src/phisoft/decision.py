@@ -69,10 +69,10 @@ class DecisionReport:
     _order: np.ndarray = field(repr=False, compare=False)
 
     def row(self, alternative: str) -> AlternativeMeasures:
-        for r in self.rows:
-            if r.alternative == alternative:
-                return r
-        raise KeyError(alternative)
+        try:
+            return self.rows[self.combined._lookup()[0][alternative]]
+        except (KeyError, TypeError):  # an unknown id, or one that is not hashable
+            raise KeyError(alternative) from None
 
     def ranking(self) -> tuple[str, ...]:
         """Alternative ids from rank 1 upward."""

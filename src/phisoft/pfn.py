@@ -14,15 +14,16 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import repeat, starmap
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonPositiveScalar, NotPythagorean, OutOfRange, ParseError
+from .errors import InvalidPFN, NonPositiveScalar, NotPythagorean, OutOfRange, ParseError
 
 #: Slack allowed on the validity constraint m**2 + n**2 <= 1.
 VALIDITY_EPS = 1e-9
@@ -37,6 +38,7 @@ class PFN:
     """An immutable (membership, non-membership) pair on the unit quarter disk.
 
     Raises:
+        InvalidPFN: if a component is not a real number (text is not one).
         OutOfRange: if a component lies outside [0, 1].
         NotPythagorean: if m**2 + n**2 > 1 + VALIDITY_EPS.
     """
@@ -48,7 +50,7 @@ class PFN:
         m, n = self.m, self.n
         if type(m) is not float or type(n) is not float:
             try:
-                m, n = float(m), float(n)
+                m, n = _real(m, "degrees", InvalidPFN), _real(n, "degrees", InvalidPFN)
             except OverflowError:  # an integer beyond double range
                 raise OutOfRange(
                     "degrees must lie in [0, 1], got a number beyond float range"
@@ -61,6 +63,17 @@ class PFN:
             raise NotPythagorean(
                 f"m**2 + n**2 = {m * m + n * n} exceeds 1 for ({m}, {n})"
             )
+
+
+def _real(value, what: str, error: type[Exception]) -> float:
+    """`value` as a double, read as float() reads a number (through
+    `__float__` or `__index__`) but never parsed from text.  Raises `error`
+    "<what> must be real numbers" for anything else, and OverflowError for
+    an integer beyond double range."""
+    try:
+        return array("d", (value,))[0]
+    except (TypeError, ValueError):
+        raise error(f"{what} must be real numbers, got {value!r}") from None
 
 
 class PFNArray(NamedTuple):
@@ -107,9 +120,13 @@ def _of_kind(x, m, n):
 def _libm(fn, x: np.ndarray, *more: np.ndarray) -> np.ndarray:
     """`fn`, a `math` function or `pow`, of each entry of `x` (and of `more`,
     arrays of x's shape).  numpy's log1p, expm1 and power differ from libm's
-    in the last bit on a few percent of inputs, and per CPU."""
-    entries = [a.ravel().tolist() for a in more]
-    return np.fromiter(map(fn, x.ravel().tolist(), *entries), np.float64, x.size).reshape(x.shape)
+    in the last bit on a few percent of inputs, and per CPU.  The entries
+    stream from each array's float64 buffer, with no list of them."""
+    buffers = [memoryview(np.asarray(a, np.float64).ravel()) for a in (x, *more)]
+    # math.log takes an optional base, so a vectorcall of it builds an argument
+    # tuple per call; through starmap it parses zip's one reused tuple instead.
+    values = starmap(fn, zip(*buffers)) if fn is math.log else map(fn, *buffers)
+    return np.fromiter(values, np.float64, x.size).reshape(x.shape)
 
 
 def complement(x: PFN | PFNArray) -> PFN | PFNArray:
@@ -230,9 +247,11 @@ def as_pfns(m: np.ndarray, n: np.ndarray, af: np.ndarray) -> list[PFN]:
     if not ok.all():
         i = int(ok.argmin())
         PFN(m.item(i), n.item(i))
-    pfns = list(map(_new, repeat(PFN, len(m))))
-    deque(map(_set_m, pfns, m.tolist()), 0)
-    deque(map(_set_n, pfns, n.tolist()), 0)
+    # These slot wrappers take their arguments as a tuple: starmap passes them
+    # zip's one reused tuple, where map would build one per call.
+    pfns = list(starmap(_new, zip(repeat(PFN, len(m)))))
+    deque(starmap(_set_m, zip(pfns, m.tolist())), 0)
+    deque(starmap(_set_n, zip(pfns, n.tolist())), 0)
     return pfns
 
 

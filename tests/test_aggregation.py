@@ -1,6 +1,7 @@
 """Weight derivation and the two weighted-averaging operators."""
 
 import decimal
+import fractions
 import math
 
 import numpy as np
@@ -88,6 +89,19 @@ class TestWeights:
         with pytest.raises(DegenerateWeights) as raised:
             WeightVector(values)
         assert str(raised.value) == "weights must lie in [0, 1], got a number beyond float range"
+
+    @pytest.mark.parametrize("values,shown", [
+        ((None,), "None"), (("0.5", "0.5"), "'0.5'"), ((0.5, b"0.5"), "b'0.5'"),
+        ((0.5, 1j), "1j"), ((None, 10**400), "None"),
+    ], ids=["none", "numeric-text", "bytes", "complex", "first-of-two-faults"])
+    def test_a_weight_that_is_not_a_real_number_is_degenerate(self, values, shown):
+        with pytest.raises(DegenerateWeights) as raised:
+            WeightVector(values)
+        assert str(raised.value) == f"weights must be real numbers, got {shown}"
+
+    def test_weights_of_other_number_types_are_read_as_float_reads_them(self):
+        w = WeightVector([fractions.Fraction(1, 4), decimal.Decimal("0.5"), np.float16(0.25)])
+        assert w.values == (0.25, 0.5, 0.25) and all(type(v) is float for v in w)
 
     def test_a_weight_vector_indexes_and_slices_its_values(self):
         w = WeightVector((0.25, 0.5, 0.25))

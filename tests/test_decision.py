@@ -226,6 +226,22 @@ def test_report_row_lookup(table1, table2):
         report.row("p9")
 
 
+@pytest.mark.parametrize("alt", ["p9", "", ["p1"], {"p1": 1}, None, 3],
+                         ids=["unknown", "empty", "list", "dict", "none", "int"])
+def test_report_row_of_an_id_it_has_not_raises_key_error_of_that_id(alt, table1, table2):
+    report = decide(table1, table2)
+    with pytest.raises(KeyError) as raised:
+        report.row(alt)
+    assert raised.value.args == (alt,) and raised.value.__cause__ is None
+
+
+def test_report_row_looks_each_row_up_by_its_id():
+    s = _seeded_table(5, grid=False, rows=2000)
+    report = decide_single(s)
+    assert [report.row(alt) for alt in s.universe] == list(report.rows)
+    assert all(report.row(r.alternative) is r for r in report.rows)
+
+
 # --- ranking and row contract pins ---------------------------------------
 
 ORDERS = (OrderKind.ES_THEN_MEMBERSHIP, OrderKind.MEMBERSHIP_THEN_ES, OrderKind.SCORE_ACCURACY)

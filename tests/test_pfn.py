@@ -2,6 +2,8 @@
 
 import itertools
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,11 +28,13 @@ from phisoft import (
     score,
 )
 from phisoft.errors import (
+    InvalidPFN,
     NonPositiveScalar,
     NotPythagorean,
     OutOfRange,
     ParseError,
 )
+from phisoft import pfn
 from phisoft.pfn import VALIDITY_EPS, PFNArray, _valid, below, order_key, valid
 from phisoft.pfn import close as pfn_close
 
@@ -69,6 +73,25 @@ class TestConstruction:
         with pytest.raises(OutOfRange) as raised:
             PFN(m, n)
         assert str(raised.value) == "degrees must lie in [0, 1], got a number beyond float range"
+
+    @pytest.mark.parametrize("m,n,shown", [
+        ("x", 0.5, "'x'"), (None, 0.5, "None"), (1j, 0, "1j"), ("0.5", 0.3, "'0.5'"),
+        (b"0.5", 0.3, "b'0.5'"), (0.5, bytearray(b"0.3"), "bytearray(b'0.3')"),
+        (Decimal("sNaN"), 0.3, "Decimal('sNaN')"),
+    ], ids=["text", "none", "complex", "numeric-text", "bytes", "bytearray", "signaling-nan"])
+    def test_a_component_that_is_not_a_real_number_is_invalid(self, m, n, shown):
+        with pytest.raises(InvalidPFN) as raised:
+            PFN(m, n)
+        assert str(raised.value) == f"degrees must be real numbers, got {shown}"
+
+    @pytest.mark.parametrize("m,n", [
+        (np.float32(0.5), np.float16(0.25)), (np.int64(0), np.bool_(True)),
+        (Fraction(1, 2), Decimal("0.3")), (True, False),
+    ], ids=["numpy-floats", "numpy-integers", "fraction-decimal", "bools"])
+    def test_numbers_of_other_types_are_read_as_float_reads_them(self, m, n):
+        x = PFN(m, n)
+        assert type(x.m) is float and type(x.n) is float
+        assert (x.m, x.n) == (float(m), float(n))
 
 
 class TestBasicOps:
@@ -411,3 +434,86 @@ def test_valid_of_a_pfn_is_a_python_bool():
         assert type(flag) is bool and flag is _nine_comparisons(m, n, m * m + n * n)
         flags.append(flag)
     assert any(flags) and not all(flags)
+
+
+# --- libm per entry: every array `_libm` is given, the list path's bits -------
+
+def _listed_libm(fn, x, *more):
+    """The reference: `fn` of each entry, read from `.tolist()` of each array."""
+    entries = zip(*(np.asarray(a).ravel().tolist() for a in (x, *more)))
+    return np.array([fn(*t) for t in entries], np.float64).reshape(np.shape(x))
+
+
+LIBM_EDGES = np.array([0.0, -0.0, 5e-324, 1.0, math.nextafter(1.0, 0.0), math.inf, math.nan])
+
+#: Each function with the edge values in its domain; pow's exponents are the
+#: same values, rolled by one.
+LIBM_FUNCTIONS = {
+    "log1p": (math.log1p, LIBM_EDGES),
+    "log": (math.log, LIBM_EDGES[2:]),
+    "expm1": (math.expm1, LIBM_EDGES),
+    "exp": (math.exp, LIBM_EDGES),
+    "pow": (pow, LIBM_EDGES),
+}
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+#: How an array of the values reaches `_libm`: float64 in each layout, then
+#: the other float dtypes.
+LIBM_LAYOUTS = {
+    "c-ordered": lambda v: np.tile(v, (2, 1)),
+    "transposed": lambda v: np.tile(v, (2, 1)).T,
+    "stride-0": lambda v: np.broadcast_arrays(v[:, None], np.empty((1, 3)))[0],
+    "0-d": lambda v: np.asarray(v[-2]),
+    "empty": lambda v: np.tile(v, (2, 1))[:, :0],
+    "read-only": lambda v: _read_only(np.tile(v, (2, 1))),
+    "float32": lambda v: np.tile(v, (2, 1)).astype(np.float32),
+    "float16": lambda v: np.tile(v, (2, 1)).astype(np.float16),
+    "big-endian": lambda v: np.tile(v, (2, 1)).astype(">f8"),
+}
+
+
+@pytest.mark.parametrize("layout", LIBM_LAYOUTS)
+@pytest.mark.parametrize("name", LIBM_FUNCTIONS)
+def test_libm_gives_the_list_paths_bits(name, layout):
+    fn, values = LIBM_FUNCTIONS[name]
+    make = LIBM_LAYOUTS[layout]
+    if fn is math.log:  # 5e-324 is 0 in float32 and float16, outside log's domain
+        values = values[make(values).dtype.type(values) != 0]
+    arrays = (make(values),) if fn is not pow else (make(values), make(np.roll(values, 1)))
+    expected = _listed_libm(fn, *arrays)
+    got = pfn._libm(fn, *arrays)
+    assert got.dtype == np.float64 and got.shape == arrays[0].shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_libm_takes_an_integer_exponent():
+    x = np.tile(LIBM_EDGES, (2, 1))
+    alpha = np.arange(x.size, dtype=np.int64).reshape(x.shape)
+    assert pfn._libm(pow, x, alpha).tobytes() == _listed_libm(pow, x, alpha).tobytes()
+
+
+@pytest.mark.parametrize("fn,bad", [(math.log, 0.0), (math.log1p, -1.0), (math.exp, 1000.0)],
+                         ids=["log-of-zero", "log1p-of-minus-one", "exp-overflow"])
+def test_a_libm_error_is_the_callees_own(fn, bad):
+    with pytest.raises((ValueError, OverflowError)) as called:
+        fn(bad)
+    with pytest.raises(type(called.value)) as raised:
+        pfn._libm(fn, np.array([0.5, bad]))
+    assert type(raised.value) is type(called.value) and str(raised.value) == str(called.value)
+
+
+@pytest.mark.parametrize("dtype", [">f8", np.float16], ids=["big-endian", "float16"])
+def test_scaling_an_array_of_another_dtype_gives_the_list_paths_bits(dtype, monkeypatch):
+    rng = np.random.default_rng(17)
+    m, n = rng.uniform(0.0, 0.7, (2, 40))
+    x = PFNArray(m.astype(dtype), n.astype(dtype))
+    got = scalar_mul(2.0, x), power(x, 0.3)
+    monkeypatch.setattr(pfn, "_libm", _listed_libm)
+    expected = scalar_mul(2.0, x), power(x, 0.3)
+    for g, e in zip(got, expected):
+        assert _bits(g.m) == _bits(e.m) and _bits(g.n) == _bits(e.n)

@@ -409,6 +409,12 @@ class TestConstantSets:
         with pytest.raises(OutOfRange, match=r"^degrees must lie in \[0, 1\], got a number beyond"):
             constant_set(["p1"], ["c1"], 10**400, 0)
 
+    def test_constant_rejects_a_value_that_is_not_a_number(self):
+        for a, b, shown in (("x", 0.5, "'x'"), (0.5, "0.3", "'0.3'")):
+            with pytest.raises(InvalidPFN) as raised:
+                constant_set(["p1"], ["c1"], a, b)
+            assert str(raised.value) == f"degrees must be real numbers, got {shown}"
+
     def test_null_and_whole(self):
         names = ["c1", "c2"]
         null = null_set(["p1"], names)
