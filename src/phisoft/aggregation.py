@@ -39,13 +39,10 @@ class WeightVector:
     def __post_init__(self):
         values = tuple(self.values)  # the error path reads them twice
         try:
-            values = tuple(array("d", values))  # `_real` of each, in one call
-        except OverflowError:
-            raise DegenerateWeights(
-                "weights must lie in [0, 1], got a number beyond float range"
-            ) from None
-        except (TypeError, ValueError):  # `_real` names the first that is not a number
-            values = tuple(_real(v, "weights", DegenerateWeights) for v in values)
+            values = array("d", values)  # `_real` of each, in one call
+        except (TypeError, ValueError, OverflowError):  # `_real` names the first refused
+            values = [_real(v, "weights", DegenerateWeights, DegenerateWeights) for v in values]
+        values = tuple(values)
         object.__setattr__(self, "values", values)
         if not values:
             raise DegenerateWeights("weight vector may not be empty")

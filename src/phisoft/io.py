@@ -16,12 +16,10 @@ import csv
 import json
 from io import StringIO
 
-import numpy as np
-
 from .decision import DecisionReport
 from .errors import InvalidId, MissingCell, ParseError
 from .pfn import pair_from_text
-from .softset import PhiSoftSet, check_cells, check_ids
+from .softset import PhiSoftSet, _assemble, check_ids
 
 IMPORTANCE_ROW_ID = "__f__"
 
@@ -91,8 +89,8 @@ def parse_csv(data: bytes | str) -> PhiSoftSet:
     parenthesized = "(" in text
     universe: list[str] = []
     lines: list[int] = []
-    ms: list[list[float]] = []
-    ns: list[list[float]] = []
+    ms: list[float] = []
+    ns: list[float] = []
     for line, fields in rows[1:]:
         if len(lines) > len(universe):  # the importance row came before
             raise ParseError(
@@ -110,18 +108,15 @@ def parse_csv(data: bytes | str) -> PhiSoftSet:
         if alt != IMPORTANCE_ROW_ID:
             universe.append(alt)
         lines.append(line)
-        ms.append(row_m)
-        ns.append(row_n)
+        ms += row_m
+        ns += row_n
 
     if not universe:
         raise ParseError("no alternatives")
     if len(lines) == len(universe):  # no importance row
         raise ParseError(f"missing {IMPORTANCE_ROW_ID} importance row")
     alts, names = check_ids(universe, names)
-    m = np.array(ms, dtype=np.float64)
-    n = np.array(ns, dtype=np.float64)
-    check_cells(m, n, alts, names, lambda i, j: f" at line {lines[i]}")
-    return PhiSoftSet(alts, names, m, n)
+    return _assemble(alts, names, ms, ns, lambda i, j: f" at line {lines[i]}")
 
 
 def emit_csv(softset: PhiSoftSet) -> bytes:
@@ -229,9 +224,6 @@ def parse_json(data: bytes | str) -> PhiSoftSet:
     if outside:
         raise MissingCell(f"unexpected cells outside the table: {sorted(outside)[:5]}")
 
-    m = np.array(ms + importance_ms, dtype=np.float64).reshape(len(alts) + 1, width)
-    n = np.array(ns + importance_ns, dtype=np.float64).reshape(m.shape)
-
     def locate(i: int, j: int) -> str:
         if i == len(alts):
             return f" ($.parameters[{j}].importance)"
@@ -241,8 +233,7 @@ def parse_json(data: bytes | str) -> PhiSoftSet:
         )
         return f" ($.cells[{index}])"
 
-    check_cells(m, n, alts, names, locate)
-    return PhiSoftSet(alts, names, m, n)
+    return _assemble(alts, names, ms + importance_ms, ns + importance_ns, locate)
 
 
 def _set_document(softset: PhiSoftSet) -> dict:

@@ -49,12 +49,8 @@ class PFN:
     def __post_init__(self):
         m, n = self.m, self.n
         if type(m) is not float or type(n) is not float:
-            try:
-                m, n = _real(m, "degrees", InvalidPFN), _real(n, "degrees", InvalidPFN)
-            except OverflowError:  # an integer beyond double range
-                raise OutOfRange(
-                    "degrees must lie in [0, 1], got a number beyond float range"
-                ) from None
+            m = _real(m, "degrees", InvalidPFN, OutOfRange)
+            n = _real(n, "degrees", InvalidPFN, OutOfRange)
             object.__setattr__(self, "m", m)
             object.__setattr__(self, "n", n)
         if not (0.0 <= m <= 1.0 and 0.0 <= n <= 1.0):
@@ -65,15 +61,17 @@ class PFN:
             )
 
 
-def _real(value, what: str, error: type[Exception]) -> float:
-    """`value` as a double, read as float() reads a number (through
-    `__float__` or `__index__`) but never parsed from text.  Raises `error`
-    "<what> must be real numbers" for anything else, and OverflowError for
-    an integer beyond double range."""
+def _real(value, what: str, error: type[Exception], too_large: type[Exception]) -> float:
+    """`value` as a double, read as `array("d")` reads it: a number through
+    `__float__` or `__index__`, never text.  Raises `error` "<what> must be
+    real numbers" for anything else, and `too_large` for a number beyond
+    double range (an integer, say)."""
     try:
         return array("d", (value,))[0]
     except (TypeError, ValueError):
         raise error(f"{what} must be real numbers, got {value!r}") from None
+    except OverflowError:
+        raise too_large(f"{what} must lie in [0, 1], got a number beyond float range") from None
 
 
 class PFNArray(NamedTuple):

@@ -14,6 +14,7 @@ immutable after `build`; the combination operators return new sets.
 from __future__ import annotations
 
 import re
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -205,8 +206,9 @@ def build(
     """Validate and assemble a soft set.
 
     `parameters` entries may be PFParameter objects or (name, importance)
-    pairs, and cell values may be PFNs or (m, n) pairs.  The cell mapping
-    must be total: exactly one entry per (alternative, parameter name).
+    pairs, and cell values may be PFNs or (m, n) pairs, whose degrees are
+    read as `PFN` reads them: numbers, never text.  The cell mapping must
+    be total: exactly one entry per (alternative, parameter name).
 
     Raises InvalidId, DuplicateId, MissingCell, or InvalidPFN, naming the
     offending cell, importance or parameter entry.
@@ -234,16 +236,23 @@ def build(
     values += importances
 
     values = [(v.m, v.n) if isinstance(v, PFN) else v for v in values]
-    try:
-        ms, ns = [float(m) for m, _ in values], [float(n) for _, n in values]
-    except (TypeError, ValueError, OverflowError):  # an entry is not a pair of doubles
+    try:  # PFN's rule, `pfn._real`, in one call per component
+        ms, ns = array("d", [m for m, _ in values]), array("d", [n for _, n in values])
+    except (TypeError, ValueError, OverflowError):  # an entry is not a pair of numbers
         for k, value in enumerate(values):
             _reject(value, alts, names, *divmod(k, len(names)))
         raise
+    return _assemble(alts, names, ms, ns)
+
+
+def _assemble(alts, names, m, n, locate=None) -> PhiSoftSet:
+    """The set of checked ids `alts` and `names` whose table holds the
+    row-major degrees m and n: the cells, then the importance row.  Raises
+    what `check_cells` raises, with `locate`."""
     shape = (len(alts) + 1, len(names))
-    m = np.array(ms, dtype=np.float64).reshape(shape)
-    n = np.array(ns, dtype=np.float64).reshape(shape)
-    check_cells(m, n, alts, names)
+    m = np.array(m, np.float64).reshape(shape)
+    n = np.array(n, np.float64).reshape(shape)
+    check_cells(m, n, alts, names, locate)
     return PhiSoftSet(alts, names, m, n)
 
 
@@ -286,11 +295,7 @@ def is_subset(a: PhiSoftSet, b: PhiSoftSet) -> bool:
     `b`, and every importance and cell of `a` lattice-dominated by the
     matching one of `b`.
     """
-    try:
-        b_table = _layout(b, a.universe, a.parameter_names)
-    except KeyError:
-        return False
-    return bool(_dominated(PFNArray(a.table_m, a.table_n), b_table))
+    return _aligned(a, b, _dominated)
 
 
 def equals(a: PhiSoftSet, b: PhiSoftSet) -> bool:
@@ -299,13 +304,17 @@ def equals(a: PhiSoftSet, b: PhiSoftSet) -> bool:
     Components are compared within COMPARE_EPS; callers needing bit
     equality should compare fields directly.
     """
-    if len(a.parameter_names) != len(b.parameter_names):
-        return False
+    return len(a.parameter_names) == len(b.parameter_names) and _aligned(a, b, _close)
+
+
+def _aligned(a: PhiSoftSet, b: PhiSoftSet, reduction) -> bool:
+    """`reduction` of a's table and b's laid out in a's order, or False when
+    b lacks one of a's alternatives or parameters."""
     try:
         b_table = _layout(b, a.universe, a.parameter_names)
     except KeyError:
         return False
-    return bool(_close(PFNArray(a.table_m, a.table_n), b_table))
+    return bool(reduction(PFNArray(a.table_m, a.table_n), b_table))
 
 
 class CombineRule(Enum):

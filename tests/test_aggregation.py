@@ -179,6 +179,13 @@ class TestGeometric:
             assert closed.m == pytest.approx(folded.m, abs=1e-9)
             assert closed.n == pytest.approx(folded.n, abs=1e-9)
 
+    @pytest.mark.parametrize("weights", [np.empty(0), []], ids=["array", "list"])
+    def test_folding_no_values_is_a_length_error(self, weights):
+        # An empty WeightVector cannot be made, but the fold also takes weight
+        # arrays; without the check, reduce of no terms raises a bare TypeError.
+        with pytest.raises(LengthMismatch, match="^need at least one value$"):
+            pfwa_fold([], weights)
+
     def test_boundedness(self):
         rng = np.random.default_rng(22)
         for _ in range(300):

@@ -9,6 +9,10 @@ documents built cell by cell from PFN views: dicts through
 import csv
 import hashlib
 import json
+import re
+import subprocess
+import sys
+import textwrap
 from io import StringIO
 from pathlib import Path
 
@@ -177,6 +181,23 @@ def test_cli_decide_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
         "ac6fb09c31de2edf379fc04c83eb08995f0714ba1cf4e968bfb1dbbfd48dbebc"
     )
+
+
+def test_the_ci_workflows_tall_report_pin_holds(tmp_path, capsys):
+    """CI's console-script step writes a 40-row table with an inline Python
+    snippet, decides it against itself, and checks the JSON report's sha256.
+    Both the snippet and the pin are read from the workflow file, so a change
+    that moves those bytes fails here too."""
+    workflow = (DEMO.parent.parent / ".github" / "workflows" / "ci.yml").read_text("utf-8")
+    pin = re.search(r'echo "([0-9a-f]{64})  tall\.json" \| sha256sum -c -', workflow)
+    snippet = re.search(r"python -c '\n(.*?)\n *'\n", workflow, re.S)
+    assert pin and snippet, "the workflow no longer writes and pins tall.json"
+    subprocess.run([sys.executable, "-c", textwrap.dedent(snippet[1])], cwd=tmp_path, check=True)
+    table, report = tmp_path / "tall.csv", tmp_path / "tall.json"
+    assert main(["decide", str(table), str(table), "--json", str(report)]) == 0
+    ranking = " > ".join(f"r{i}" for i in range(39, -1, -1))
+    assert f"ranking: {ranking}\n" in capsys.readouterr().out
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == pin[1]
 
 
 def _quarter_disk(rng, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,8 @@ import math
 import pickle
 import re
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +103,42 @@ class TestBuild:
         assert str(raised.value) == (
             f"{where}: degrees must lie in [0, 1], got a number beyond float range"
         )
+
+    @pytest.mark.parametrize("value", ["0.5", b"0.5", bytearray(b"0.5"), None],
+                             ids=["str", "bytes", "bytearray", "None"])
+    @pytest.mark.parametrize("in_importance", [False, True], ids=["cell", "importance"])
+    def test_a_degree_that_is_not_a_number_is_named(self, value, in_importance):
+        # `build` reads degrees as PFN does: text is refused, never parsed.
+        bad, good = (value, 0.3), (0.5, 0.4)
+        cell, importance = (good, bad) if in_importance else (bad, good)
+        where = "importance of 's1'" if in_importance else "cell (p1, s1)"
+        with pytest.raises(InvalidPFN) as raised:
+            build(["p1"], [("s1", importance)], {("p1", "s1"): cell})
+        assert str(raised.value) == f"{where}: degrees must be real numbers, got {value!r}"
+
+    @pytest.mark.parametrize("first, where", [
+        (("0.5", 0.3), "cell (p1, s1): degrees must be real numbers, got '0.5'"),
+        ((0.5, 0.3), "cell (p1, s2): degrees must be real numbers, got 'x'"),
+    ], ids=["text-first", "number-first"])
+    def test_the_first_refused_entry_is_named(self, first, where):
+        cells = {("p1", "s1"): first, ("p1", "s2"): ("x", 0.3)}
+        params = [("s1", (0.5, 0.4)), ("s2", (0.5, 0.4))]
+        with pytest.raises(InvalidPFN) as raised:
+            build(["p1"], params, cells)
+        assert str(raised.value) == where
+
+    @pytest.mark.parametrize("pair", [
+        (np.float32(0.5), np.int64(0)),
+        (np.float16(0.25), np.float64(0.75)),
+        (Fraction(1, 3), Decimal("0.25")),
+        (True, False),
+        (0, 1),
+    ], ids=["numpy-float32-int64", "numpy-float16-float64", "fraction-decimal", "bool", "int"])
+    def test_numbers_are_read_with_pfns_bits(self, pair):
+        s = build(["p1"], [("s1", pair)], {("p1", "s1"): pair})
+        want = PFN(*pair)
+        for got in (s.cell("p1", "s1"), s.parameter("s1").importance):
+            assert (got.m.hex(), got.n.hex()) == (want.m.hex(), want.n.hex())
 
     @pytest.mark.parametrize("bad", [(0.4,), (0.9, 0.9)], ids=["one-tuple", "out-of-disk"])
     def test_one_bad_pair_among_pfns_is_named(self, bad):
