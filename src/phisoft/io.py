@@ -13,8 +13,9 @@ importance), and ``cells``; reports add ``weights``, ``measures``, and
 from __future__ import annotations
 
 import csv
+import gc
 import json
-from io import StringIO
+from io import BytesIO, StringIO
 
 from .decision import DecisionReport
 from .errors import InvalidId, MissingCell, ParseError
@@ -171,6 +172,18 @@ def _cell_key(entry, path: str) -> tuple[str, str]:
 
 def parse_json(data: bytes | str) -> PhiSoftSet:
     """Parse a set (or report) document; reports yield their combined set."""
+    # The decoded tree cannot hold a cycle: pause the collector until it is
+    # freed, so that none of its dicts is walked by a collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_json(data)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_json(data: bytes | str) -> PhiSoftSet:
     try:
         doc = json.loads(_as_text(data))
     except json.JSONDecodeError as exc:
@@ -236,71 +249,78 @@ def parse_json(data: bytes | str) -> PhiSoftSet:
     return _assemble(alts, names, ms + importance_ms, ns + importance_ns, locate)
 
 
-def _set_document(softset: PhiSoftSet) -> dict:
-    """The set as a JSON document; "cells" is a slot `emit_json` fills."""
-    return {
-        "universe": list(softset.universe),
-        "parameters": [
-            {"name": p.name, "importance": {"m": p.importance.m, "n": p.importance.n}}
-            for p in softset.parameters
-        ],
-        "cells": None,
-    }
+def _section(value) -> bytes:
+    """`value` as ``json.dumps(document, indent=2)`` writes it under a
+    top-level key: its own indented text, two more spaces after every line
+    break.  JSON strings never hold a raw newline, so each break is layout."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ").encode("utf-8")
 
 
-def _cells_json(softset: PhiSoftSet) -> str:
-    """The "cells" array, written from the arrays in exactly the layout that
-    ``json.dumps(document, indent=2)`` gives a list of
-    ``{"alt", "param", "m", "n"}`` objects under a top-level key."""
-    if not softset.m.size:
-        return "[]"
+def _write_rows(out: BytesIO, rows) -> None:
+    """Write a top-level array whose element text comes row by row from
+    `rows`, each row's elements already joined by ``",\\n"``."""
+    head = b"[\n"
+    for row in rows:
+        out.write(head)
+        out.write(row.encode("utf-8"))
+        head = b",\n"
+    out.write(b"[]" if head == b"[\n" else b"\n  ]")
+
+
+def _cell_rows(softset: PhiSoftSet):
+    """Each alternative's {"alt", "param", "m", "n"} objects, laid out as
+    ``json.dumps(document, indent=2)`` lays out "cells"."""
     names = [json.dumps(name) for name in softset.parameter_names]
+    if not names:  # every alternative has a row, but no row has a cell
+        return
     ids = map(json.dumps, softset.universe)
-    rows = []
     for alt, ms, ns in zip(ids, softset.m.tolist(), softset.n.tolist()):
-        rows.append(",\n".join([
+        yield ",\n".join([
             f'    {{\n      "alt": {alt},\n      "param": {name},\n      "m": {m!r},\n'
-            f'      "n": {n!r}\n    }}' for name, m, n in zip(names, ms, ns)]))
-    return "[\n" + ",\n".join(rows) + "\n  ]"
+            f'      "n": {n!r}\n    }}' for name, m, n in zip(names, ms, ns)])
 
 
-def _report_document(report: DecisionReport) -> dict:
-    doc = {
-        "config": {
-            "combine": report.config.combine.value,
-            "aggregator": report.config.aggregator.value,
-            "ranking_order": report.config.ranking_order.value,
-        }
-    }
-    doc.update(_set_document(report.combined))
-    doc["weights"] = list(report.weights)
-    doc["measures"] = [
-        {
-            "alt": r.alternative,
-            "apfdv": {"m": r.apfdv.m, "n": r.apfdv.n},
-            "es": r.es,
-            "sf": r.sf,
-            "af": r.af,
-            "rank": r.rank,
-        }
-        for r in report.rows
-    ]
-    doc["ranking"] = list(report.ranking())
-    return doc
-
-
-#: Where `json.dumps(indent=2)` puts the top-level "cells": null; no string
-#: can hold it, since JSON strings never contain a raw newline.
-_CELLS_SLOT = '\n  "cells": null'
+def _measure_rows(report: DecisionReport):
+    """Each report row's measures object, laid out as "measures"."""
+    for alt, apfdv, es, sf, af, rank in report.rows:
+        yield (
+            f'    {{\n      "alt": {json.dumps(alt)},\n      "apfdv": {{\n'
+            f'        "m": {apfdv.m!r},\n        "n": {apfdv.n!r}\n      }},\n'
+            f'      "es": {es!r},\n      "sf": {sf!r},\n      "af": {af!r},\n'
+            f'      "rank": {rank:d}\n    }}'
+        )
 
 
 def emit_json(obj: PhiSoftSet | DecisionReport) -> bytes:
-    """Render a soft set or a decision report as deterministic JSON bytes."""
+    """Render a soft set or a decision report as deterministic JSON bytes:
+    exactly ``json.dumps(document, indent=2) + "\\n"``, written section by
+    section into one buffer, with "cells" and "measures" written row by row."""
     if isinstance(obj, PhiSoftSet):
-        doc, softset = _set_document(obj), obj
+        report, softset = None, obj
     elif isinstance(obj, DecisionReport):
-        doc, softset = _report_document(obj), obj.combined
+        report, softset = obj, obj.combined
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    head, _, tail = json.dumps(doc, indent=2).partition(_CELLS_SLOT)
-    return f'{head}\n  "cells": {_cells_json(softset)}{tail}\n'.encode("utf-8")
+    out = BytesIO()
+    out.write(b"{")
+    if report is not None:
+        config = report.config
+        out.write(b'\n  "config": ' + _section({
+            "combine": config.combine.value,
+            "aggregator": config.aggregator.value,
+            "ranking_order": config.ranking_order.value,
+        }) + b",")
+    out.write(b'\n  "universe": ' + _section(list(softset.universe)))
+    out.write(b',\n  "parameters": ' + _section([
+        {"name": p.name, "importance": {"m": p.importance.m, "n": p.importance.n}}
+        for p in softset.parameters
+    ]))
+    out.write(b',\n  "cells": ')
+    _write_rows(out, _cell_rows(softset))
+    if report is not None:
+        out.write(b',\n  "weights": ' + _section(list(report.weights)))
+        out.write(b',\n  "measures": ')
+        _write_rows(out, _measure_rows(report))
+        out.write(b',\n  "ranking": ' + _section(list(report.ranking())))
+    out.write(b"\n}\n")
+    return out.getvalue()

@@ -1,7 +1,8 @@
 """The array writers produce exactly the bytes of the generic encoders.
 
-`emit_json` writes the "cells" array straight from a set's arrays, and
-`emit_csv` renders its cells from them.  Both are pinned here against the
+`emit_json` writes a document section by section, its "cells" array
+straight from a set's arrays and its "measures" row by row, and `emit_csv`
+renders its cells from the arrays.  Both are pinned here against the
 documents built cell by cell from PFN views: dicts through
 `json.dumps(indent=2)`, PFN text through `csv.writer`.
 """
@@ -128,7 +129,57 @@ def _paper_pair():
     )
 
 
-PAIRS = [pytest.param(_paper_pair, id="paper"), pytest.param(_escaped_pair, id="escaped")]
+#: (m, n) PFNs whose components are edges of float text: the ends of [0, 1],
+#: the smallest subnormal, the largest double below 1, and values under 1e-4,
+#: whose repr takes exponent form.
+EDGE_FLOAT_PFNS = (
+    (0.0, 1.0), (1.0, 0.0), (5e-324, 1.0 - 2**-53), (1.0 - 2**-53, 5e-324),
+    (3e-05, 0.5), (0.5, 7.5e-06), (1.2345678901234567e-07, 0.0), (9.99e-05, 1e-300),
+)
+
+
+def _float_edge_pair():
+    """Two seeded 12-alternative tables (3 shared parameters), so that ranks
+    take two digits; every edge PFN sits in each column and in the importances."""
+    rng = np.random.default_rng(31)
+    universe = [f"p{i}" for i in range(12)]
+
+    def table(names):
+        m, n = _quarter_disk(rng, len(universe) + 1, len(names))
+        for k, (mv, nv) in enumerate(EDGE_FLOAT_PFNS):
+            for j in range(len(names)):
+                m[(k + j) % len(universe), j], n[(k + j) % len(universe), j] = mv, nv
+        for j, k in enumerate((3, 4, 0)):  # importances: 1 - 2**-53, 3e-05 and 0.0 in m
+            m[-1, j], n[-1, j] = EDGE_FLOAT_PFNS[k]
+        params = [(name, (m[-1, j], n[-1, j])) for j, name in enumerate(names)]
+        cells = {
+            (alt, name): (m[i, j], n[i, j])
+            for i, alt in enumerate(universe)
+            for j, name in enumerate(names)
+        }
+        return build(universe, params, cells)
+
+    return table([f"c{j}" for j in range(6)]), table([f"c{j}" for j in range(3, 9)])
+
+
+def _single_alternative_pair():
+    """Two seeded one-alternative tables with two shared parameters."""
+    rng = np.random.default_rng(32)
+
+    def table(names):
+        values = iter(_random_pfns(rng, 2 * len(names)))
+        params = [(name, next(values)) for name in names]
+        return build(["only"], params, {("only", name): next(values) for name in names})
+
+    return table(["s1", "s2", "s3"]), table(["s2", "s3", "s4"])
+
+
+PAIRS = [
+    pytest.param(_paper_pair, id="paper"),
+    pytest.param(_escaped_pair, id="escaped"),
+    pytest.param(_float_edge_pair, id="float-edges"),
+    pytest.param(_single_alternative_pair, id="single-alternative"),
+]
 
 
 @pytest.mark.parametrize("pair", PAIRS)

@@ -1,7 +1,9 @@
 """CSV/JSON parsing, emission, and round-trip stability."""
 
+import gc
 import json
 
+import numpy as np
 import pytest
 
 from phisoft import (
@@ -23,7 +25,7 @@ from phisoft.errors import (
     ParseError,
     PhiSoftError,
 )
-from conftest import EMPTY_UNIVERSE_JSON, TABLE1_CSV, TABLE2_CSV, UNIVERSE
+from conftest import EMPTY_UNIVERSE_JSON, TABLE1_CSV, TABLE2_CSV, UNIVERSE, collections_started
 
 
 class TestParseCsv:
@@ -373,3 +375,74 @@ class TestErrorContract:
         with pytest.raises(error) as info:
             parse(data)
         assert isinstance(info.value, PhiSoftError) and isinstance(info.value, ValueError)
+
+
+# --- the JSON reader runs with the cyclic collector paused -------------------
+
+def _deep_nesting():
+    return "[" * 100_000 + "]" * 100_000
+
+
+def _duplicate_cell():
+    doc = _two_by_two()
+    doc["cells"].append(dict(doc["cells"][0]))
+    return json.dumps(doc)
+
+
+def _tall_table_json(rows=2000, cols=50, seed=5) -> str:
+    """A seeded rows x cols set document, every (m, n) on the quarter disk."""
+    rng = np.random.default_rng(seed)
+    m = rng.random((rows + 1, cols))
+    n = rng.random((rows + 1, cols)) * np.sqrt(1.0 - m * m)
+    universe, names = [f"a{i}" for i in range(rows)], [f"c{j}" for j in range(cols)]
+    ms, ns = m.tolist(), n.tolist()
+    return json.dumps({
+        "universe": universe,
+        "parameters": [
+            {"name": name, "importance": {"m": ms[-1][j], "n": ns[-1][j]}}
+            for j, name in enumerate(names)
+        ],
+        "cells": [
+            {"alt": alt, "param": name, "m": ms[i][j], "n": ns[i][j]}
+            for i, alt in enumerate(universe)
+            for j, name in enumerate(names)
+        ],
+    })
+
+
+class TestJsonReadCollector:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            pytest.param(lambda: json.dumps(_two_by_two()), None, id="valid"),
+            pytest.param(lambda: "{not json", ParseError, id="invalid-json"),
+            pytest.param(_deep_nesting, ParseError, id="nested-too-deeply"),
+            pytest.param(
+                lambda: json.dumps({"universe": "p1", "parameters": [], "cells": []}),
+                ParseError,
+                id="schema",
+            ),
+            pytest.param(_duplicate_cell, ParseError, id="duplicate-cell"),
+            pytest.param(lambda: json.dumps(_two_by_two(0.9, 0.9)), InvalidPFN, id="invalid-pfn"),
+        ],
+    )
+    def test_the_callers_collector_state_comes_back(self, data, error, enabled):
+        text = data()
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                parse_json(text)
+            else:
+                with pytest.raises(error):
+                    parse_json(text)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_a_tall_table_runs_no_cyclic_collection(self):
+        """Without the pause, its 100 000 decoded cell dicts made the read
+        start about 140 collections."""
+        text = _tall_table_json()
+        assert collections_started(lambda: parse_json(text)) == []
