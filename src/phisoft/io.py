@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import gc
 import json
-from io import BytesIO, StringIO
+from array import array
+from io import BytesIO, TextIOWrapper
 
 from .decision import DecisionReport
 from .errors import InvalidId, MissingCell, ParseError
@@ -90,8 +91,13 @@ def parse_csv(data: bytes | str) -> PhiSoftSet:
     parenthesized = "(" in text
     universe: list[str] = []
     lines: list[int] = []
-    ms: list[float] = []
-    ns: list[float] = []
+    # Every line after the header is one table row, so the buffers are sized
+    # exactly.  Rows go in through a memoryview, as fast as `array.fromlist`
+    # but without the slack that `fromlist` leaves and a table view keeps.
+    width = len(names)
+    size = width * (len(rows) - 1)
+    ms, ns = array("d", [0.0]) * size, array("d", [0.0]) * size
+    into_m, into_n = memoryview(ms), memoryview(ns)
     for line, fields in rows[1:]:
         if len(lines) > len(universe):  # the importance row came before
             raise ParseError(
@@ -101,16 +107,15 @@ def parse_csv(data: bytes | str) -> PhiSoftSet:
         values = fields[1:]
         if parenthesized:
             values = _reassemble_parenthesized(values, line)
-        if len(values) != len(names):
-            raise ParseError(
-                f"expected {len(names)} cells, got {len(values)}", line=line
-            )
+        if len(values) != width:
+            raise ParseError(f"expected {width} cells, got {len(values)}", line=line)
         row_m, row_n = _parse_row(values, line)
         if alt != IMPORTANCE_ROW_ID:
             universe.append(alt)
+        start = width * len(lines)
+        into_m[start:start + width] = array("d", row_m)
+        into_n[start:start + width] = array("d", row_n)
         lines.append(line)
-        ms += row_m
-        ns += row_n
 
     if not universe:
         raise ParseError("no alternatives")
@@ -121,16 +126,19 @@ def parse_csv(data: bytes | str) -> PhiSoftSet:
 
 
 def emit_csv(softset: PhiSoftSet) -> bytes:
-    """Render a soft set in the CSV grammar (deterministic bytes)."""
+    """Render a soft set in the CSV grammar (deterministic bytes), written
+    row by row into one byte buffer: only one row's text exists at a time."""
     if IMPORTANCE_ROW_ID in softset.universe:
         raise InvalidId(f"alternative id {IMPORTANCE_ROW_ID!r} is reserved in CSV")
-    lines = [["id", *softset.parameter_names]]
+    out = BytesIO()
+    sink = TextIOWrapper(out, "utf-8", newline="")
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["id", *softset.parameter_names])
     ids = (*softset.universe, IMPORTANCE_ROW_ID)
-    for alt, ms, ns in zip(ids, softset.table_m.tolist(), softset.table_n.tolist()):
-        lines.append([alt, *map("%r,%r".__mod__, zip(ms, ns))])
-    sink = StringIO()
-    csv.writer(sink, lineterminator="\n").writerows(lines)
-    return sink.getvalue().encode("utf-8")
+    for alt, ms, ns in zip(ids, softset.table_m, softset.table_n):
+        writer.writerow([alt, *map("%r,%r".__mod__, zip(ms.tolist(), ns.tolist()))])
+    sink.detach()  # flushes into `out` and leaves it open
+    return out.getvalue()
 
 
 # --- JSON -----------------------------------------------------------------
@@ -210,9 +218,12 @@ def _read_json(data: bytes | str) -> PhiSoftSet:
     rows = {alt: i for i, alt in enumerate(alts)}
     cols = {name: j for j, name in enumerate(names)}
     width = len(names)
-    ms = [0.0] * (len(alts) * width)
-    ns = [0.0] * len(ms)
-    seen = bytearray(len(ms))
+    size = len(alts) * width
+    # Both buffers are sized exactly for the cells and the importance row,
+    # which goes in now; the cells are written in place as they are read.
+    ms, ns = array("d", [0.0]) * (size + width), array("d", [0.0]) * (size + width)
+    ms[size:], ns[size:] = array("d", importance_ms), array("d", importance_ns)
+    seen = bytearray(size)
     outside = []
     for i, entry in enumerate(entries):
         try:
@@ -246,7 +257,7 @@ def _read_json(data: bytes | str) -> PhiSoftSet:
         )
         return f" ($.cells[{index}])"
 
-    return _assemble(alts, names, ms + importance_ms, ns + importance_ns, locate)
+    return _assemble(alts, names, ms, ns, locate)
 
 
 def _section(value) -> bytes:

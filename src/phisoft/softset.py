@@ -242,16 +242,17 @@ def build(
         for k, value in enumerate(values):
             _reject(value, alts, names, *divmod(k, len(names)))
         raise
+    del values  # the buffers hold every degree; free the entries before the checks
     return _assemble(alts, names, ms, ns)
 
 
-def _assemble(alts, names, m, n, locate=None) -> PhiSoftSet:
+def _assemble(alts, names, m: array, n: array, locate=None) -> PhiSoftSet:
     """The set of checked ids `alts` and `names` whose table holds the
-    row-major degrees m and n: the cells, then the importance row.  Raises
-    what `check_cells` raises, with `locate`."""
+    row-major degrees in the `array("d")` buffers m and n: the cells, then
+    the importance row.  Each table is one view of its buffer, not a copy.
+    Raises what `check_cells` raises, with `locate`."""
     shape = (len(alts) + 1, len(names))
-    m = np.array(m, np.float64).reshape(shape)
-    n = np.array(n, np.float64).reshape(shape)
+    m, n = np.ndarray(shape, np.float64, m), np.ndarray(shape, np.float64, n)
     check_cells(m, n, alts, names, locate)
     return PhiSoftSet(alts, names, m, n)
 

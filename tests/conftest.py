@@ -92,6 +92,14 @@ p4,"0.5,0.4","0.5,0.2","0.6,0.4","0.5,0.5"
 __f__,"0.1,0.6","0.7,0.2","0.4,0.5","0.6,0.3"
 """
 
+#: (m, n) PFNs whose components are edges of float text: the ends of [0, 1],
+#: the smallest subnormal, the largest double below 1, and values under 1e-4,
+#: whose repr takes exponent form.
+EDGE_FLOAT_PFNS = (
+    (0.0, 1.0), (1.0, 0.0), (5e-324, 1.0 - 2**-53), (1.0 - 2**-53, 5e-324),
+    (3e-05, 0.5), (0.5, 7.5e-06), (1.2345678901234567e-07, 0.0), (9.99e-05, 1e-300),
+)
+
 # A well-formed set document with no alternatives, which no soft set may have.
 EMPTY_UNIVERSE_JSON = """\
 {"universe": [], "parameters": [{"name": "c", "importance": {"m": 0.5, "n": 0.4}}], "cells": []}

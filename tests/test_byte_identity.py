@@ -36,7 +36,14 @@ from phisoft import (
 )
 from phisoft.cli import main
 from phisoft.io import IMPORTANCE_ROW_ID
-from conftest import TABLE1_CELLS, TABLE1_PARAMS, TABLE2_CELLS, TABLE2_PARAMS, UNIVERSE
+from conftest import (
+    EDGE_FLOAT_PFNS,
+    TABLE1_CELLS,
+    TABLE1_PARAMS,
+    TABLE2_CELLS,
+    TABLE2_PARAMS,
+    UNIVERSE,
+)
 
 DEMO = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -127,15 +134,6 @@ def _paper_pair():
         build(UNIVERSE, TABLE1_PARAMS, TABLE1_CELLS),
         build(UNIVERSE, TABLE2_PARAMS, TABLE2_CELLS),
     )
-
-
-#: (m, n) PFNs whose components are edges of float text: the ends of [0, 1],
-#: the smallest subnormal, the largest double below 1, and values under 1e-4,
-#: whose repr takes exponent form.
-EDGE_FLOAT_PFNS = (
-    (0.0, 1.0), (1.0, 0.0), (5e-324, 1.0 - 2**-53), (1.0 - 2**-53, 5e-324),
-    (3e-05, 0.5), (0.5, 7.5e-06), (1.2345678901234567e-07, 0.0), (9.99e-05, 1e-300),
-)
 
 
 def _float_edge_pair():
