@@ -96,14 +96,21 @@ def _fsums(terms: np.ndarray):
 
 #: Tables with fewer rows go straight to `math.fsum`: below this, the
 #: cascade's nine numpy calls per column cost more than one fsum per row.
+#: The crossover falls from about 150 rows at 4 columns to about 90 at 60
+#: (`timeit`, min of 15, one CPU of a 2-vCPU Xeon): at 128 rows fsum took
+#: 25 µs against the cascade's 27 at P = 4, 43 against 38 at P = 8, 143
+#: against 109 at P = 28 and 318 against 223 at P = 60.
 _CASCADE_MIN_ROWS = 128
 
 
-def _two_sum(a, b):
-    """(fl(a + b), a + b - fl(a + b)), the rounding error exactly (Knuth)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def _two_sum(a, b, s, err, bb):
+    """TwoSum (Knuth): fl(a + b) into s and its rounding error a + b - s,
+    exactly, into err; bb is overwritten.  Returns (s, err)."""
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=bb)
+    np.subtract(a, np.subtract(s, bb, out=err), out=err)
+    np.subtract(b, bb, out=bb)
+    return s, np.add(err, bb, out=err)
 
 
 def _row_sums(terms: np.ndarray, finish=None) -> np.ndarray:
@@ -122,24 +129,31 @@ def _row_sums(terms: np.ndarray, finish=None) -> np.ndarray:
     certified.  As in Shewchuk's adaptive predicates (1997), only the rows
     that this cannot certify are summed exactly, by fsum: ties (from three
     columns on), r == 0 (fsum's signed-zero rule), and non-finite terms or
-    overflow, which make TwoSum's error NaN."""
+    overflow, which make TwoSum's error NaN.
+    The cascade reads each column as one contiguous row of `terms.T` (free
+    when `terms` is the transpose of a C-ordered array, one copy otherwise)
+    and writes into buffers that it reuses from column to column."""
     rows, width = terms.shape
     if rows < _CASCADE_MIN_ROWS or not width:
         sums = _fsums(terms)
         return np.fromiter(sums if finish is None else map(finish, sums), np.float64, rows)
-    cols = terms.T
-    s, e, mag = cols[0], 0.0, 0.0
+    cols = np.ascontiguousarray(terms.T)
+    s, e, mag = cols[0].copy(), np.zeros(rows), np.zeros(rows)
+    t, err, bb = np.empty(rows), np.empty(rows), np.empty(rows)
     with np.errstate(invalid="ignore", over="ignore"):
         for col in cols[1:]:
-            s, err = _two_sum(s, col)
-            e = e + err
-            mag = mag + np.abs(err)
-        r, d = _two_sum(s, e)
+            _two_sum(s, col, t, err, bb)
+            s, t = t, s
+            np.add(e, err, out=e)
+            np.add(mag, np.abs(err, out=err), out=mag)
+        r, d = _two_sum(s, e, t, err, bb)
         if width == 2:  # e is the one TwoSum error, so r is S rounded, ties too
             certified = np.isfinite(r) & (r != 0.0)
-        else:
-            half_gap = 0.5 * np.abs(r - np.nextafter(r, 0.0))
-            certified = np.abs(d) + (width * 2.0**-52) * mag < half_gap
+        else:  # s is free now; mag becomes delta
+            half_gap = np.abs(np.subtract(r, np.nextafter(r, 0.0, out=s), out=s), out=s)
+            half_gap *= 0.5
+            mag *= width * 2.0**-52
+            certified = np.add(np.abs(d, out=d), mag, out=d) < half_gap
     redo = np.flatnonzero(~certified)
     if redo.size:
         r[redo] = np.fromiter(_fsums(terms[redo]), np.float64, redo.size)
@@ -147,12 +161,15 @@ def _row_sums(terms: np.ndarray, finish=None) -> np.ndarray:
 
 
 def _exp_log_sums(exp, log, x: np.ndarray, pole: float, w: np.ndarray) -> np.ndarray:
-    """exp(sum_j w_j * log(x_ij)) per row i, with `math`'s exp and log.  At the
-    pole (no x lies below it) log raises, so its term is the limit, -inf."""
+    """exp(sum_j w_j * log(x_ji)) per column i of the P x A array x, which it
+    overwrites, with `math`'s exp and log; w is P x A or P x 1.  At the pole
+    (no x lies below it) log raises, so its term is the limit, -inf."""
     at_pole = x == pole
-    terms = _libm(log, np.where(at_pole, 1.0, x))
+    np.putmask(x, at_pole, 1.0)
+    terms = _libm(log, x)
     terms[at_pole] = -math.inf
-    return _row_sums(terms * w, exp)
+    terms *= w
+    return _row_sums(terms.T, exp)
 
 
 def pfwa_table(
@@ -175,13 +192,18 @@ def pfwa_table(
         m, n, w = m[:, keep], n[:, keep], w[..., keep]
         if not w.all():
             raise DegenerateWeights("a zero weight in a column that other rows weight")
+    # The kernel runs on the P x A transposes, one contiguous row per parameter.
+    w = w[:, None] if w.ndim == 1 else np.ascontiguousarray(w.T)
     if aggregator is Aggregator.LINEAR:
         # The weights may sum to 1 + ulp, which lifts a row of ones above 1.
-        return np.minimum(_row_sums(m * w), 1.0), np.minimum(_row_sums(n * w), 1.0)
-    out_m = _exp_log_sums(math.expm1, math.log1p, -(m * m), -1.0, w)
+        m_sums = _row_sums(np.multiply(m.T, w, order="C").T)
+        return np.minimum(m_sums, 1.0), np.minimum(_row_sums(np.multiply(n.T, w, order="C").T), 1.0)
+    x = np.multiply(m.T, m.T, order="C")  # each call overwrites the x it is given
+    out_m = _exp_log_sums(math.expm1, math.log1p, np.negative(x, out=x), -1.0, w)
+    x = n.T.copy()
     # 0.0 - out_m is -out_m, but +0.0 where out_m is -0.0 or 0.0, so an
     # all-zero-membership row gets sqrt(0.0) = 0.0, not sqrt(-0.0) = -0.0
-    return np.sqrt(0.0 - out_m), _exp_log_sums(math.exp, math.log, n, 0.0, w)
+    return np.sqrt(0.0 - out_m), _exp_log_sums(math.exp, math.log, x, 0.0, w)
 
 
 def _pfwa(values: Sequence[PFN], weights: WeightVector, aggregator: Aggregator) -> PFN:

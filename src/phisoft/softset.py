@@ -222,6 +222,8 @@ def build(
         except (TypeError, ValueError):
             raise InvalidPFN(f"parameter entry {index} is not a (name, importance) pair") from None
         names.append(name)
+        if isinstance(importance, PFN):  # a pair, so PFParameters keep `_degrees`' pair path
+            importance = importance.m, importance.n
         importances.append(importance)
     alts, names = check_ids(universe, names)
 
@@ -235,15 +237,28 @@ def build(
         raise MissingCell(f"unexpected cells outside the table: {extras[:5]}")
     values += importances
 
-    values = [(v.m, v.n) if isinstance(v, PFN) else v for v in values]
     try:  # PFN's rule, `pfn._real`, in one call per component
-        ms, ns = array("d", [m for m, _ in values]), array("d", [n for _, n in values])
-    except (TypeError, ValueError, OverflowError):  # an entry is not a pair of numbers
+        ms, ns = _degrees(values)
+    except (TypeError, ValueError, OverflowError):  # an entry is not a PFN or a pair of numbers
         for k, value in enumerate(values):
-            _reject(value, alts, names, *divmod(k, len(names)))
+            if not isinstance(value, PFN):
+                _reject(value, alts, names, *divmod(k, len(names)))
         raise
     del values  # the buffers hold every degree; free the entries before the checks
     return _assemble(alts, names, ms, ns)
+
+
+def _degrees(values: list) -> tuple[array, array]:
+    """The m and the n of each (m, n) pair or PFN in `values`, in two
+    `array("d")` buffers.  Raises TypeError, ValueError or OverflowError for
+    any other entry."""
+    try:  # pairs, the usual input, in one pass per component
+        return array("d", [m for m, _ in values]), array("d", [n for _, n in values])
+    except (TypeError, ValueError, OverflowError):
+        pass
+    # A PFN's pair is made as it is read and freed at once, so no two coexist.
+    return (array("d", [m for v in values for m, _ in ((v.m, v.n) if isinstance(v, PFN) else v,)]),
+            array("d", [n for v in values for _, n in ((v.m, v.n) if isinstance(v, PFN) else v,)]))
 
 
 def _assemble(alts, names, m: array, n: array, locate=None) -> PhiSoftSet:

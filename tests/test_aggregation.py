@@ -444,6 +444,31 @@ class TestPerRowWeights:
             pfwa_table(m, n, w, aggregator)
 
 
+class TestMemoryLayout:
+    """`pfwa_table` gives the same bits on non-contiguous inputs as on their
+    contiguous copies: it transposes them into arrays of its own."""
+
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    @pytest.mark.parametrize("rows", [_CASCADE_MIN_ROWS - 1, 3 * _CASCADE_MIN_ROWS])
+    def test_strided_tables_and_transposed_weights(self, aggregator, rows):
+        # edge_table's row 0 is all (0, 1), some cells are saturated or have
+        # n = 0 (the poles), and its first column has weight 0.
+        m, n, shared = edge_table(np.random.default_rng(49), rows, 9)
+        wide_m, wide_n = np.zeros((rows, 18)), np.zeros((rows, 18))
+        wide_m[:, ::2], wide_n[:, ::2] = m, n
+        m_view, n_view = wide_m[:, ::2], wide_n[:, ::2]
+        per_row = np.array([w.values for w in positive_weight_rows(np.random.default_rng(50), rows, 9)])
+        per_row[:, 0] = 0.0
+        per_row_view = np.ascontiguousarray(per_row.T).T
+        assert not (m_view.flags.contiguous or per_row_view.flags.c_contiguous)
+        for w, w_view in ((shared.values, shared.values), (per_row, per_row_view)):
+            expected = pfwa_table(m, n, w, aggregator)
+            for args in ((m_view, n_view, w_view), (m, n, w_view), (m_view, n_view, w)):
+                got = pfwa_table(*args, aggregator)
+                assert got[0].tobytes() == expected[0].tobytes()
+                assert got[1].tobytes() == expected[1].tobytes()
+
+
 @pytest.mark.parametrize("aggregator", list(Aggregator))
 def test_rows_are_summed_without_a_list_per_row(aggregator):
     """A list per row made a 20000 x 8 call run dozens of cyclic collections."""
@@ -595,6 +620,23 @@ class TestRowSums:
         pfwa_table(m[: _CASCADE_MIN_ROWS - 1], n[: _CASCADE_MIN_ROWS - 1],
                    positive_weight_rows(rng, 1, 8)[0].values, aggregator)
         assert summed == [_CASCADE_MIN_ROWS - 1] * 2
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 60])
+    @pytest.mark.parametrize("rows", [_CASCADE_MIN_ROWS - 1, 3 * _CASCADE_MIN_ROWS])
+    def test_every_memory_layout_gives_the_same_bits(self, rows, width):
+        """A C-ordered table, its Fortran-ordered copy, the transpose of a
+        C-ordered P x A array (as the kernel passes its terms) and a strided
+        column view all sum to the same bits, which are fsum's."""
+        rng = np.random.default_rng(48)
+        terms = rng.standard_normal((rows, width)) * 2.0 ** rng.integers(-60, 60, (rows, width))
+        for i, row in enumerate(ADVERSARIAL_ROWS):
+            terms[3 * i] = (row + [0.0] * width)[:width]
+        wide = np.zeros((rows, 3 * width))
+        wide[:, 2::3] = terms
+        layouts = (np.asfortranarray(terms), np.ascontiguousarray(terms.T).T, wide[:, 2::3])
+        expected = fsum_rows(terms).tobytes()
+        for layout in (terms, *layouts):
+            assert _row_sums(layout).tobytes() == expected
 
     @pytest.mark.parametrize("shape", ["random", "decimals", "log"])
     def test_two_columns_reach_fsum_only_at_zero_or_non_finite(self, shape, monkeypatch):

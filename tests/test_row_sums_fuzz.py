@@ -42,3 +42,16 @@ def test_row_sums_is_fsum_bit_for_bit(rows):
     terms = np.resize(np.array(rows, np.float64), (_CASCADE_MIN_ROWS, len(rows[0])))
     expected = np.array([math.fsum(row) for row in terms.tolist()], np.float64)
     assert _row_sums(terms).tobytes() == expected.tobytes()
+
+
+@FUZZ
+@given(tables)
+def test_row_sums_reads_every_memory_layout_alike(rows):
+    # The cascade reads its own contiguous copy of the columns, so a
+    # Fortran-ordered copy and a strided column view give the C table's bits.
+    terms = np.resize(np.array(rows, np.float64), (_CASCADE_MIN_ROWS, len(rows[0])))
+    wide = np.zeros((_CASCADE_MIN_ROWS, 2 * terms.shape[1]))
+    wide[:, 1::2] = terms
+    expected = _row_sums(terms).tobytes()
+    assert _row_sums(np.asfortranarray(terms)).tobytes() == expected
+    assert _row_sums(wide[:, 1::2]).tobytes() == expected

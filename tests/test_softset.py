@@ -556,6 +556,31 @@ class TestDataModel:
             tracemalloc.stop()
         assert peak <= 2.5 * (s.table_m.nbytes + s.table_n.nbytes)
 
+    def test_build_from_pfn_cells_peaks_near_the_size_of_its_tables(self):
+        """PFN cells are read without an (m, n) pair each that outlives its
+        read: a build that made every pair first peaked at about 5.6 times."""
+        rng = np.random.default_rng(18)
+        m = rng.random((20_001, 8))
+        n = rng.random(m.shape) * np.sqrt(1.0 - m * m)
+        universe, names = [f"p{i}" for i in range(20_000)], [f"c{j}" for j in range(8)]
+        ms, ns = m.tolist(), n.tolist()
+        params = [PFParameter(name, PFN(a, b)) for name, a, b in zip(names, ms[-1], ns[-1])]
+        cells = {
+            (alt, name): PFN(a, b)
+            for alt, row_m, row_n in zip(universe, ms, ns)
+            for name, a, b in zip(names, row_m, row_n)
+        }
+        del ms, ns
+        gc.collect()
+        tracemalloc.start()
+        try:
+            s = build(universe, params, cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (s.table_m.nbytes + s.table_n.nbytes)
+        assert s.table_m.tobytes() == m.tobytes() and s.table_n.tobytes() == n.tobytes()
+
     def test_copies_keep_the_importances(self, table1):
         for s in (copy.copy(table1), copy.deepcopy(table1), pickle.loads(pickle.dumps(table1))):
             assert s.parameters == table1.parameters
