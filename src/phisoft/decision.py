@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field, fields
+from functools import wraps
 from itertools import repeat
 from typing import NamedTuple
 
@@ -90,6 +91,23 @@ def decide(
     return decide_single(combine(a, b, config.combine), config)
 
 
+def _collector_paused(fn):
+    """`fn` with CPython's cyclic collector paused, for a call that builds many
+    objects none of which can form a cycle; each call restores its caller's
+    state, saved in its own frame, on return or raise."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_collector_paused  # the report's PFNs and rows are acyclic; the rest runs numpy and math
 def decide_single(
     softset: PhiSoftSet, config: DecisionConfig | None = None
 ) -> DecisionReport:
@@ -98,32 +116,25 @@ def decide_single(
     weights = importance_weights(softset.table_m[-1], softset.table_n[-1])
     m, n = pfwa_table(softset.m, softset.n, weights.values, config.aggregator)
     es, sf, af = _measures(m, n)
-    # The report's PFNs and rows are acyclic: pause the collector while they are made
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        apfdvs = as_pfns(m, n, af)
-        primary, tiebreak = _order_key(config.ranking_order, m, es, sf, af)
-        # One argsort of the descending primary.  Rows whose primaries tie form
-        # runs in it (-0.0 == 0.0; as_pfns has refused NaN), and only they are
-        # sorted again, by their (-primary, -tiebreak, -m, id) tuples, into the
-        # same positions.  Ids are unique, so no two tuples tie.
-        universe, count = softset.universe, len(softset.universe)
-        order = (-primary).argsort()
-        q = primary[order]
-        ties = q[1:] == q[:-1]
-        if ties.any():
-            at = np.flatnonzero(np.append(ties, False) | np.insert(ties, 0, False))
-            tied = order[at]
-            keys, ids = (-np.stack((primary, tiebreak, m))[:, tied]).tolist(), tied.tolist()
-            order[at] = [row[-1] for row in sorted(zip(*keys, map(universe.__getitem__, ids), ids))]
-        ranks = np.empty(count, np.intp)
-        ranks[order] = np.arange(1, count + 1)
-        order.setflags(write=False)
-        # tuple.__new__ skips the generated __new__'s per-row argument binding
-        columns = zip(universe, apfdvs, es.tolist(), sf.tolist(), af.tolist(), ranks.tolist())
-        rows = tuple(map(tuple.__new__, repeat(AlternativeMeasures), columns))
-    finally:
-        if enabled:
-            gc.enable()
+    apfdvs = as_pfns(m, n, af)
+    primary, tiebreak = _order_key(config.ranking_order, m, es, sf, af)
+    # One argsort of the descending primary.  Rows whose primaries tie form
+    # runs in it (-0.0 == 0.0; as_pfns has refused NaN), and only they are
+    # sorted again, by their (-primary, -tiebreak, -m, id) tuples, into the
+    # same positions.  Ids are unique, so no two tuples tie.
+    universe, count = softset.universe, len(softset.universe)
+    order = (-primary).argsort()
+    q = primary[order]
+    ties = q[1:] == q[:-1]
+    if ties.any():
+        at = np.flatnonzero(np.append(ties, False) | np.insert(ties, 0, False))
+        tied = order[at]
+        keys, ids = (-np.stack((primary, tiebreak, m))[:, tied]).tolist(), tied.tolist()
+        order[at] = [row[-1] for row in sorted(zip(*keys, map(universe.__getitem__, ids), ids))]
+    ranks = np.empty(count, np.intp)
+    ranks[order] = np.arange(1, count + 1)
+    order.setflags(write=False)
+    # tuple.__new__ skips the generated __new__'s per-row argument binding
+    columns = zip(universe, apfdvs, es.tolist(), sf.tolist(), af.tolist(), ranks.tolist())
+    rows = tuple(map(tuple.__new__, repeat(AlternativeMeasures), columns))
     return DecisionReport(rows=rows, weights=weights, combined=softset, config=config, _order=order)

@@ -13,12 +13,11 @@ importance), and ``cells``; reports add ``weights``, ``measures``, and
 from __future__ import annotations
 
 import csv
-import gc
 import json
 from array import array
 from io import BytesIO, TextIOWrapper
 
-from .decision import DecisionReport
+from .decision import DecisionReport, _collector_paused
 from .errors import InvalidId, MissingCell, ParseError
 from .pfn import pair_from_text
 from .softset import PhiSoftSet, _assemble, check_ids
@@ -121,7 +120,8 @@ def parse_csv(data: bytes | str) -> PhiSoftSet:
         raise ParseError("no alternatives")
     if len(lines) == len(universe):  # no importance row
         raise ParseError(f"missing {IMPORTANCE_ROW_ID} importance row")
-    alts, names = check_ids(universe, names)
+    alts, names = check_ids(universe, names, lambda axis, k: (
+        f" at line {header_line}, column {k + 2}" if axis else f" at line {lines[k]}"))
     return _assemble(alts, names, ms, ns, lambda i, j: f" at line {lines[i]}")
 
 
@@ -178,20 +178,9 @@ def _cell_key(entry, path: str) -> tuple[str, str]:
     return alt, param
 
 
+@_collector_paused  # the decoded tree cannot hold a cycle; none of its dicts need a walk
 def parse_json(data: bytes | str) -> PhiSoftSet:
     """Parse a set (or report) document; reports yield their combined set."""
-    # The decoded tree cannot hold a cycle: pause the collector until it is
-    # freed, so that none of its dicts is walked by a collection
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _read_json(data)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _read_json(data: bytes | str) -> PhiSoftSet:
     try:
         doc = json.loads(_as_text(data))
     except json.JSONDecodeError as exc:
@@ -212,7 +201,8 @@ def _read_json(data: bytes | str) -> PhiSoftSet:
         importance = _object(entry["importance"], path, ("m", "n"))
         importance_ms.append(_number(importance["m"], f"{path}.m"))
         importance_ns.append(_number(importance["n"], f"{path}.n"))
-    alts, names = check_ids(alts, names)
+    alts, names = check_ids(alts, names, lambda axis, k: (
+        f" ($.parameters[{k}].name)" if axis else f" ($.universe[{k}])"))
 
     entries = _expect(doc["cells"], "$.cells", list, "an array")
     rows = {alt: i for i, alt in enumerate(alts)}

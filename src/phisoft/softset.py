@@ -156,19 +156,25 @@ class _CellView(Mapping):
 _forbidden = re.compile("[,\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]").search
 
 
-def check_ids(universe: Iterable[str], names: Iterable[str]) -> tuple[tuple[str, ...], ...]:
-    """Validate the alternative ids, then the parameter names; both as tuples."""
+def check_ids(
+    universe: Iterable[str], names: Iterable[str], locate=None
+) -> tuple[tuple[str, ...], ...]:
+    """Validate the alternative ids, then the parameter names; both as tuples.
+    `locate(axis, k)`, if given, says where alternative id k (axis 0) or
+    parameter name k (axis 1) sits in the input."""
+    where = locate or (lambda axis, k: "")
     checked = []
-    for kind, values in (("alternative id", universe), ("parameter name", names)):
+    for axis, (kind, values) in enumerate((("alternative id", universe), ("parameter name", names))):
         values = tuple(values)
-        for value in values:
+        for k, value in enumerate(values):
             if not isinstance(value, str) or not value:
-                raise InvalidId(f"{kind} must be a non-empty string, got {value!r}")
+                raise InvalidId(f"{kind}{where(axis, k)} must be a non-empty string, got {value!r}")
             if value != value.strip():
-                raise InvalidId(f"{kind} {value!r} starts or ends with whitespace")
+                raise InvalidId(f"{kind} {value!r}{where(axis, k)} starts or ends with whitespace")
         if _forbidden("".join(values)):
-            bad = next(v for v in values if _forbidden(v))
-            raise InvalidId(f"{kind} {bad!r} has a comma, line break or surrogate")
+            k = next(k for k, v in enumerate(values) if _forbidden(v))
+            what = f"{kind} {values[k]!r}{where(axis, k)}"
+            raise InvalidId(f"{what} has a comma, line break or surrogate")
         if len(set(values)) != len(values):
             dupes = sorted(v for v, count in Counter(values).items() if count > 1)
             raise DuplicateId(f"duplicate {kind}s: {', '.join(dupes)}")

@@ -630,6 +630,36 @@ def test_the_callers_collector_state_comes_back(table1, table2):
         gc.enable()
 
 
+def test_the_weights_and_the_kernel_run_with_the_collector_paused(table1, monkeypatch):
+    seen = []
+
+    def spy(name):
+        step = getattr(decision, name)
+
+        def spied(*args):
+            seen.append((name, gc.isenabled()))
+            return step(*args)
+        monkeypatch.setattr(decision, name, spied)
+
+    spy("importance_weights")
+    spy("pfwa_table")
+    assert gc.isenabled()
+    decide_single(table1)
+    assert seen == [("importance_weights", False), ("pfwa_table", False)]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_the_callers_collector_state_comes_back_after_degenerate_weights(enabled):
+    dead = build(UNIVERSE, [("z9", (0.0, 1.0))], {(alt, "z9"): (0.4, 0.4) for alt in UNIVERSE})
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(DegenerateWeights):  # raised by the weights step, inside the pause
+            decide_single(dead)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("family", [*RANK_TABLES, "paper-pair"])
 def test_a_report_leaves_no_reference_cycle(family, table1, table2):
     """Why the pause is safe: nothing a report allocates can form a cycle, so

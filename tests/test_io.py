@@ -373,6 +373,45 @@ class TestErrorContract:
         with pytest.raises(MissingCell, match=r"unexpected.*'p9'"):
             parse_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("parse, data, message", [
+        pytest.param(
+            parse_csv,
+            'id,s1\np1,"0.5,0.4"\n,"0.5,0.4"\n__f__,"0.5,0.4"\n',
+            "alternative id at line 3 must be a non-empty string, got ''",
+            id="csv-empty-id",
+        ),
+        pytest.param(
+            parse_csv,
+            'id,s1,\np1,"0.5,0.4","0.5,0.4"\n__f__,"0.5,0.4","0.5,0.4"\n',
+            "parameter name at line 1, column 3 must be a non-empty string, got ''",
+            id="csv-empty-header-name",
+        ),
+        pytest.param(
+            parse_csv,
+            'id,s1\np1,"0.5,0.4"\n"p,2","0.5,0.4"\n__f__,"0.5,0.4"\n',
+            "alternative id 'p,2' at line 3 has a comma, line break or surrogate",
+            id="csv-comma-in-quoted-id",
+        ),
+        pytest.param(
+            parse_json,
+            json.dumps({"universe": ["p1", ""], "parameters": [], "cells": []}),
+            "alternative id ($.universe[1]) must be a non-empty string, got ''",
+            id="json-empty-universe-id",
+        ),
+        pytest.param(
+            parse_json,
+            json.dumps({"universe": ["p1"], "parameters": [
+                {"name": " c", "importance": {"m": 0.5, "n": 0.4}}], "cells": []}),
+            "parameter name ' c' ($.parameters[0].name) starts or ends with whitespace",
+            id="json-padded-parameter-name",
+        ),
+    ])
+    def test_an_invalid_id_names_where_it_is(self, parse, data, message):
+        with pytest.raises(InvalidId) as info:
+            parse(data)
+        assert type(info.value) is InvalidId
+        assert str(info.value) == message
+
     @pytest.mark.parametrize(
         "parse, data, error",
         [

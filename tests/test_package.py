@@ -1,12 +1,16 @@
 """The package namespace: `__all__` names exactly what `__init__` exports."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import phisoft
+from phisoft import cli, decision
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,3 +51,30 @@ def test_deciding_leaves_the_law_suites_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.endswith("ranking: p4 > p3 > p1 > p2\noptimal: p4\nlaws loaded: False\n")
+
+
+_PARSE_JSON = (
+    "parse_json",
+    "Parse a set (or report) document; reports yield their combined set.",
+    "phisoft.io",
+    "(data: 'bytes | str') -> 'PhiSoftSet'",
+)
+
+
+@pytest.mark.parametrize("function, expected", [
+    pytest.param(decision.decide_single, (
+        "decide_single",
+        "Aggregate and rank one already-combined soft set (skips step 2).",
+        "phisoft.decision",
+        "(softset: 'PhiSoftSet', config: 'DecisionConfig | None' = None) -> 'DecisionReport'",
+    ), id="decide_single"),
+    pytest.param(phisoft.parse_json, _PARSE_JSON, id="phisoft.parse_json"),
+    pytest.param(cli.parse_json, _PARSE_JSON, id="cli.parse_json"),
+])
+def test_the_paused_functions_keep_their_names_docs_and_signatures(function, expected):
+    """The collector pause wraps them; callers and `help` see the functions."""
+    name, doc, module, signature = expected
+    assert function.__name__ == name
+    assert function.__doc__ == doc
+    assert function.__module__ == module
+    assert str(inspect.signature(function)) == signature
