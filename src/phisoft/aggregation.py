@@ -89,9 +89,9 @@ def _check_lengths(values: Sequence[PFN], weights: WeightVector) -> None:
 
 
 def _fsums(terms: np.ndarray):
-    """The `math.fsum` of each row of `terms`, lazily.  zip hands the rows
-    out as one tuple that it reuses; `.tolist()` would make a list per row."""
-    return map(math.fsum, zip(*terms.T.tolist()))
+    """The `math.fsum` of each table row's terms, lazily.  zip hands each
+    column of `terms` out as one tuple that it reuses, not as a list."""
+    return map(math.fsum, zip(*terms.tolist()))
 
 
 #: Tables with fewer rows go straight to `math.fsum`: below this, the
@@ -114,34 +114,32 @@ def _two_sum(a, b, s, err, bb):
 
 
 def _row_sums(terms: np.ndarray, finish=None) -> np.ndarray:
-    """The `math.fsum` of each row of `terms`, bit for bit, or `finish` (a
+    """The `math.fsum` of each table row's terms, bit for bit, or `finish` (a
     `math` function) of it: on a small table that saves an array per call.
+    `terms` is P x A: column i holds table row i's P terms.
 
-    TwoSum runs down the columns, every row at once (Ogita, Rump & Oishi,
+    TwoSum runs down the P terms, every row at once (Ogita, Rump & Oishi,
     "Accurate Sum and Dot Product", 2005).  A row's exact sum S is s + E: s
     the running sum, E the exact sum of its P-1 rounding errors.  Their float
     sum e is off by at most gamma_(P-2) * sum|err|, about (P-2)u * sum|err|
     with u = 2**-53, well under delta = 2Pu * sum|err|.
     With (r, d) = TwoSum(s, e), S = r + d + (E - e); so where |d| + delta is
     below half the smaller gap around r, r is S correctly rounded, which is
-    fsum's result.  With two columns E is the one TwoSum error, so e == E and
+    fsum's result.  With two terms E is the one TwoSum error, so e == E and
     r is S correctly rounded, ties to even included: every finite r != 0 is
     certified.  As in Shewchuk's adaptive predicates (1997), only the rows
     that this cannot certify are summed exactly, by fsum: ties (from three
-    columns on), r == 0 (fsum's signed-zero rule), and non-finite terms or
+    terms on), r == 0 (fsum's signed-zero rule), and non-finite terms or
     overflow, which make TwoSum's error NaN.
-    The cascade reads each column as one contiguous row of `terms.T` (free
-    when `terms` is the transpose of a C-ordered array, one copy otherwise)
-    and writes into buffers that it reuses from column to column."""
-    rows, width = terms.shape
-    if rows < _CASCADE_MIN_ROWS or not width:
+    The cascade writes into buffers that it reuses from term to term."""
+    width, rows = terms.shape
+    if rows < _CASCADE_MIN_ROWS:
         sums = _fsums(terms)
         return np.fromiter(sums if finish is None else map(finish, sums), np.float64, rows)
-    cols = np.ascontiguousarray(terms.T)
-    s, e, mag = cols[0].copy(), np.zeros(rows), np.zeros(rows)
+    s, e, mag = terms[0].copy(), np.zeros(rows), np.zeros(rows)
     t, err, bb = np.empty(rows), np.empty(rows), np.empty(rows)
     with np.errstate(invalid="ignore", over="ignore"):
-        for col in cols[1:]:
+        for col in terms[1:]:
             _two_sum(s, col, t, err, bb)
             s, t = t, s
             np.add(e, err, out=e)
@@ -156,20 +154,18 @@ def _row_sums(terms: np.ndarray, finish=None) -> np.ndarray:
             certified = np.add(np.abs(d, out=d), mag, out=d) < half_gap
     redo = np.flatnonzero(~certified)
     if redo.size:
-        r[redo] = np.fromiter(_fsums(terms[redo]), np.float64, redo.size)
+        r[redo] = np.fromiter(_fsums(terms[:, redo]), np.float64, redo.size)
     return r if finish is None else _libm(finish, r)
 
 
-def _exp_log_sums(exp, log, x: np.ndarray, pole: float, w: np.ndarray) -> np.ndarray:
-    """exp(sum_j w_j * log(x_ji)) per column i of the P x A array x, which it
-    overwrites, with `math`'s exp and log; w is P x A or P x 1.  At the pole
-    (no x lies below it) log raises, so its term is the limit, -inf."""
+def _log_terms(log, x: np.ndarray, pole: float) -> np.ndarray:
+    """`math`'s log of each entry of x, which it overwrites.  At the pole (no
+    entry lies below it) log raises, so its term is the limit, -inf."""
     at_pole = x == pole
     np.putmask(x, at_pole, 1.0)
     terms = _libm(log, x)
     terms[at_pole] = -math.inf
-    terms *= w
-    return _row_sums(terms.T, exp)
+    return terms
 
 
 def pfwa_table(
@@ -179,11 +175,10 @@ def pfwa_table(
     is `pfwa_geometric` (or `pfwa_linear`) of row i.  `weights` is a sequence
     of P weights for every row, or an A x P numpy array, one weight row each.
     A column whose weight is 0 in every row is dropped; a 0 in any other
-    column raises DegenerateWeights.  Each row sums one term per weighted
-    parameter to exactly `math.fsum`'s result, so the column order cannot
-    change a bit; on tall tables `_row_sums` reaches it by a certified
-    error-free cascade over all rows, and calls fsum only on the rows that
-    the cascade cannot certify.
+    column raises DegenerateWeights, and so does a table with no column left.
+    Each row's weighted terms (its degrees, or their logs) are summed by
+    `_row_sums` to exactly `math.fsum`'s result, so the column order cannot
+    change a bit.
     log1p, log, expm1 and exp are `math`'s, because numpy's differ in the
     last bit on a few percent of inputs, and per CPU; the rest runs in numpy."""
     w = np.asarray(weights, np.float64)
@@ -192,18 +187,23 @@ def pfwa_table(
         m, n, w = m[:, keep], n[:, keep], w[..., keep]
         if not w.all():
             raise DegenerateWeights("a zero weight in a column that other rows weight")
-    # The kernel runs on the P x A transposes, one contiguous row per parameter.
+    if not w.shape[-1]:
+        raise DegenerateWeights("no column has a nonzero weight")
+    # The kernel runs on P x A arrays, one contiguous row per parameter.
     w = w[:, None] if w.ndim == 1 else np.ascontiguousarray(w.T)
     if aggregator is Aggregator.LINEAR:
         # The weights may sum to 1 + ulp, which lifts a row of ones above 1.
-        m_sums = _row_sums(np.multiply(m.T, w, order="C").T)
-        return np.minimum(m_sums, 1.0), np.minimum(_row_sums(np.multiply(n.T, w, order="C").T), 1.0)
-    x = np.multiply(m.T, m.T, order="C")  # each call overwrites the x it is given
-    out_m = _exp_log_sums(math.expm1, math.log1p, np.negative(x, out=x), -1.0, w)
-    x = n.T.copy()
+        m_sums = _row_sums(np.multiply(m.T, w, order="C"))
+        return np.minimum(m_sums, 1.0), np.minimum(_row_sums(np.multiply(n.T, w, order="C")), 1.0)
+    x = np.multiply(m.T, m.T, order="C")
+    terms = _log_terms(math.log1p, np.negative(x, out=x), -1.0)
+    del x  # one component's arrays at a time: each goes before the next is made
+    out_m = _row_sums(np.multiply(terms, w, out=terms), math.expm1)
+    del terms
+    terms = _log_terms(math.log, n.T.copy(), 0.0)
     # 0.0 - out_m is -out_m, but +0.0 where out_m is -0.0 or 0.0, so an
     # all-zero-membership row gets sqrt(0.0) = 0.0, not sqrt(-0.0) = -0.0
-    return np.sqrt(0.0 - out_m), _exp_log_sums(math.exp, math.log, x, 0.0, w)
+    return np.sqrt(0.0 - out_m), _row_sums(np.multiply(terms, w, out=terms), math.exp)
 
 
 def _pfwa(values: Sequence[PFN], weights: WeightVector, aggregator: Aggregator) -> PFN:

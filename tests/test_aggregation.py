@@ -2,7 +2,9 @@
 
 import decimal
 import fractions
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,6 +445,15 @@ class TestPerRowWeights:
         with pytest.raises(DegenerateWeights, match="zero weight"):
             pfwa_table(m, n, w, aggregator)
 
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    def test_a_table_with_no_weighted_column_raises(self, aggregator):
+        """Zero weights in every column, shared or per row, and a table with
+        no columns: numpy's bare ValueError used to escape from the sums."""
+        m, n = np.full((3, 2), 0.5), np.full((3, 2), 0.5)
+        for args in ((m, n, (0.0, 0.0)), (m, n, np.zeros((3, 2))), (m[:, :0], n[:, :0], ())):
+            with pytest.raises(DegenerateWeights, match="no column"):
+                pfwa_table(*args, aggregator)
+
 
 class TestMemoryLayout:
     """`pfwa_table` gives the same bits on non-contiguous inputs as on their
@@ -476,6 +487,46 @@ def test_rows_are_summed_without_a_list_per_row(aggregator):
     m, n = tall_pfns(rng, 20000, 8)
     w = positive_weight_rows(rng, 1, 8)[0].values
     assert len(collections_started(lambda: pfwa_table(m, n, w, aggregator))) <= 5
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
+@pytest.mark.parametrize("aggregator", list(Aggregator))
+def test_the_sums_take_c_contiguous_p_by_a_terms(aggregator, per_row, monkeypatch):
+    """The kernel has one layout: each array it hands `_row_sums` is P x A
+    and C-contiguous, so the cascade reads each parameter's terms as one
+    contiguous row."""
+    row_sums, seen = aggregation._row_sums, []
+
+    def recorded(terms, finish=None):
+        seen.append((terms.shape, terms.flags.c_contiguous))
+        return row_sums(terms, finish)
+
+    monkeypatch.setattr(aggregation, "_row_sums", recorded)
+    rng = np.random.default_rng(52)
+    m, n = tall_pfns(rng, _CASCADE_MIN_ROWS, 5)
+    rows = positive_weight_rows(rng, _CASCADE_MIN_ROWS if per_row else 1, 5)
+    pfwa_table(m, n, np.array([r.values for r in rows]) if per_row else rows[0].values, aggregator)
+    assert seen == [((5, _CASCADE_MIN_ROWS), True)] * 2
+
+
+@pytest.mark.parametrize(("aggregator", "bound"), [(Aggregator.GEOMETRIC, 2.75),
+                                                   (Aggregator.LINEAR, 2.5)])
+def test_a_tall_call_holds_one_components_arrays_at_a_time(aggregator, bound):
+    """A 20000 x 8 call peaks under `bound` times one P x A component array.
+    The geometric kernel drops the membership side's squares and terms before
+    it copies the non-memberships: it peaks at 2.25 arrays, and at 3.28 when
+    those lived on.  The linear kernel peaks at 2.16."""
+    rng = np.random.default_rng(53)
+    m, n = tall_pfns(rng, 20_000, 8)
+    w = positive_weight_rows(rng, 1, 8)[0].values
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pfwa_table(m, n, w, aggregator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * m.nbytes
 
 
 #: Each `math` function the geometric kernel calls, and its exact value at a
@@ -521,8 +572,9 @@ def test_the_kernels_libm_values_are_within_one_ulp(table1, table2, monkeypatch)
 
 
 def fsum_rows(terms):
-    """The reference: `math.fsum` of each row, one call per row."""
-    return np.array([math.fsum(row) for row in terms.tolist()], np.float64)
+    """The reference: `math.fsum` of each table row's terms, column i of the
+    P x A array `terms`, one call per row."""
+    return np.array([math.fsum(row) for row in terms.T.tolist()], np.float64)
 
 
 def tall_pfns(rng, rows, cols, decimals=None):
@@ -566,16 +618,17 @@ class TestRowSums:
     @pytest.mark.parametrize("rows", [_CASCADE_MIN_ROWS - 1, _CASCADE_MIN_ROWS, 3 * _CASCADE_MIN_ROWS])
     def test_adversarial_rows_bit_for_bit(self, rows, width):
         rng = np.random.default_rng(41)
-        terms = rng.standard_normal((rows, width)) * 2.0 ** rng.integers(-60, 60, (rows, width))
+        table = rng.standard_normal((rows, width)) * 2.0 ** rng.integers(-60, 60, (rows, width))
+        terms = table.T.copy()
         for i, row in enumerate(ADVERSARIAL_ROWS):
             cut = (row + [0.0] * width)[:width]
-            terms[2 * i] = cut
-            terms[rows - 1 - 2 * i] = cut[::-1]
+            terms[:, 2 * i] = cut
+            terms[:, rows - 1 - 2 * i] = cut[::-1]
         assert _row_sums(terms).tobytes() == fsum_rows(terms).tobytes()
 
     def test_overflow_raises_as_fsum_does(self):
-        terms = np.zeros((_CASCADE_MIN_ROWS, 3))
-        terms[5] = [1.7e308, 1.7e308, -1.7e308]
+        terms = np.zeros((3, _CASCADE_MIN_ROWS))
+        terms[:, 5] = [1.7e308, 1.7e308, -1.7e308]
         with pytest.raises(OverflowError):
             _row_sums(terms)
 
@@ -583,8 +636,8 @@ class TestRowSums:
     def test_seeded_tall_term_tables_bit_for_bit(self, decimals):
         """Both aggregators' term shapes: m*w, w*log1p(-m*m) and w*log n."""
         rng = np.random.default_rng(42)
-        m, n = tall_pfns(rng, 100_000, 8, decimals)
-        w = np.array(positive_weight_rows(rng, 1, 8)[0].values)
+        m, n = (a.T.copy() for a in tall_pfns(rng, 100_000, 8, decimals))
+        w = np.array(positive_weight_rows(rng, 1, 8)[0].values)[:, None]
         with np.errstate(divide="ignore"):
             for terms in (m * w, w * np.log1p(-(m * m)), w * np.log(n)):
                 assert _row_sums(terms).tobytes() == fsum_rows(terms).tobytes()
@@ -608,7 +661,7 @@ class TestRowSums:
         fsums, summed = aggregation._fsums, []
 
         def counted(terms):
-            summed.append(len(terms))
+            summed.append(terms.shape[1])
             return fsums(terms)
 
         monkeypatch.setattr(aggregation, "_fsums", counted)
@@ -624,14 +677,15 @@ class TestRowSums:
     @pytest.mark.parametrize("width", [1, 2, 3, 60])
     @pytest.mark.parametrize("rows", [_CASCADE_MIN_ROWS - 1, 3 * _CASCADE_MIN_ROWS])
     def test_every_memory_layout_gives_the_same_bits(self, rows, width):
-        """A C-ordered table, its Fortran-ordered copy, the transpose of a
-        C-ordered P x A array (as the kernel passes its terms) and a strided
-        column view all sum to the same bits, which are fsum's."""
+        """C-ordered P x A terms (as the kernel passes them), their
+        Fortran-ordered copy, the transpose of a C-ordered A x P table and a
+        strided column view all sum to the same bits, which are fsum's."""
         rng = np.random.default_rng(48)
-        terms = rng.standard_normal((rows, width)) * 2.0 ** rng.integers(-60, 60, (rows, width))
+        table = rng.standard_normal((rows, width)) * 2.0 ** rng.integers(-60, 60, (rows, width))
+        terms = table.T.copy()
         for i, row in enumerate(ADVERSARIAL_ROWS):
-            terms[3 * i] = (row + [0.0] * width)[:width]
-        wide = np.zeros((rows, 3 * width))
+            terms[:, 3 * i] = (row + [0.0] * width)[:width]
+        wide = np.zeros((width, 3 * rows))
         wide[:, 2::3] = terms
         layouts = (np.asfortranarray(terms), np.ascontiguousarray(terms.T).T, wide[:, 2::3])
         expected = fsum_rows(terms).tobytes()
@@ -646,7 +700,7 @@ class TestRowSums:
         fsums, summed = aggregation._fsums, []
 
         def recorded(terms):
-            summed.append(terms.copy())
+            summed.append(terms.T.copy())
             return fsums(terms)
 
         monkeypatch.setattr(aggregation, "_fsums", recorded)
@@ -654,12 +708,13 @@ class TestRowSums:
         m, n = tall_pfns(rng, 5000, 2, 2 if shape == "decimals" else None)
         w = np.array(positive_weight_rows(rng, 1, 2)[0].values)
         with np.errstate(divide="ignore"):
-            terms = w * np.log(n) if shape == "log" else m * w
-        terms[[0, 7, 99]] = [[0.25, -0.25], [0.0, -0.0], [-0.0, -0.0]]
-        terms[[5, 600]] = [[-math.inf, 0.5], [-math.inf, -math.inf]]
+            table = w * np.log(n) if shape == "log" else m * w
+        table[[0, 7, 99]] = [[0.25, -0.25], [0.0, -0.0], [-0.0, -0.0]]
+        table[[5, 600]] = [[-math.inf, 0.5], [-math.inf, -math.inf]]
+        terms = table.T.copy()
         assert _row_sums(terms).tobytes() == fsum_rows(terms).tobytes()
         with np.errstate(invalid="ignore"):
-            r = terms[:, 0] + terms[:, 1]
+            r = table[:, 0] + table[:, 1]
         (reached,) = summed
-        assert reached.tobytes() == terms[~np.isfinite(r) | (r == 0.0)].tobytes()
+        assert reached.tobytes() == table[~np.isfinite(r) | (r == 0.0)].tobytes()
         assert len(reached) >= 5

@@ -123,3 +123,22 @@ def test_a_seeded_set_is_ranked_as_the_exact_primaries_rank_it(aggregator):
     assert_ranked_as_exact([decide_single(softset, DecisionConfig(aggregator=aggregator,
                                                                   ranking_order=order))
                             for order in TOTAL_ORDERS])
+
+
+#: ROADMAP item 11's reproduction: p1's first membership squares inexactly,
+#: p2's (1 - 2**-26) exactly, and the geometric kernel's rounded square puts
+#: p2 first though p1's exact expectation score is higher by 1.0e-11.
+NEAR_ONE = b"""id,c0,c1,c2,c3,c4,c5,c6,c7
+p1,"0.9999999925526566,1e-05","0.14,0.03","0.48,0.12","0.35,0.16","0.06,0.13","0.26,0.18","0.29,0.22","0.1,0.29"
+p2,"0.9999999850988388,1e-05","0.7141519330069585,0.03","0.48,0.12","0.35,0.16","0.06,0.13","0.26,0.18","0.29,0.22","0.1,0.29"
+__f__,"0.6,0.3","0.6,0.3","0.6,0.3","0.6,0.3","0.6,0.3","0.6,0.3","0.6,0.3","0.6,0.3"
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the geometric kernel's log1p(-fl(m*m)) "
+                                       "loses up to 3e-9 of a term near m = 1")
+def test_memberships_near_one_are_ranked_as_the_exact_primaries_rank_them():
+    softset = parse_csv(NEAR_ONE)
+    assert_ranked_as_exact([decide_single(softset, DecisionConfig(aggregator=Aggregator.GEOMETRIC,
+                                                                  ranking_order=order))
+                            for order in TOTAL_ORDERS])

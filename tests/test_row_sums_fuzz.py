@@ -39,18 +39,19 @@ tables = st.integers(1, 10).flatmap(
 @given(tables)
 def test_row_sums_is_fsum_bit_for_bit(rows):
     # Repeated to the cascade's row count, so the cascade sums them.
-    terms = np.resize(np.array(rows, np.float64), (_CASCADE_MIN_ROWS, len(rows[0])))
-    expected = np.array([math.fsum(row) for row in terms.tolist()], np.float64)
-    assert _row_sums(terms).tobytes() == expected.tobytes()
+    table = np.resize(np.array(rows, np.float64), (_CASCADE_MIN_ROWS, len(rows[0])))
+    expected = np.array([math.fsum(row) for row in table.tolist()], np.float64)
+    assert _row_sums(table.T.copy()).tobytes() == expected.tobytes()
 
 
 @FUZZ
 @given(tables)
 def test_row_sums_reads_every_memory_layout_alike(rows):
-    # The cascade reads its own contiguous copy of the columns, so a
-    # Fortran-ordered copy and a strided column view give the C table's bits.
-    terms = np.resize(np.array(rows, np.float64), (_CASCADE_MIN_ROWS, len(rows[0])))
-    wide = np.zeros((_CASCADE_MIN_ROWS, 2 * terms.shape[1]))
+    # The cascade reads the P x A terms a row at a time, whatever their
+    # strides, so a Fortran-ordered copy and a strided column view give the
+    # C-ordered terms' bits.
+    terms = np.resize(np.array(rows, np.float64), (_CASCADE_MIN_ROWS, len(rows[0]))).T.copy()
+    wide = np.zeros((terms.shape[0], 2 * _CASCADE_MIN_ROWS))
     wide[:, 1::2] = terms
     expected = _row_sums(terms).tobytes()
     assert _row_sums(np.asfortranarray(terms)).tobytes() == expected
