@@ -18,7 +18,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DegenerateWeights, LengthMismatch
-from .pfn import PFN, PFNArray, _libm, _real, add_p, expectation_score, scalar_mul
+from .pfn import PFN, PFNArray, _libm, _log_terms, _real, add_p, expectation_score, scalar_mul
 from .softset import PFParameter
 
 #: Allowed deviation of a weight vector's sum from 1.
@@ -158,16 +158,6 @@ def _row_sums(terms: np.ndarray, finish=None) -> np.ndarray:
     return r if finish is None else _libm(finish, r)
 
 
-def _log_terms(log, x: np.ndarray, pole: float) -> np.ndarray:
-    """`math`'s log of each entry of x, which it overwrites.  At the pole (no
-    entry lies below it) log raises, so its term is the limit, -inf."""
-    at_pole = x == pole
-    np.putmask(x, at_pole, 1.0)
-    terms = _libm(log, x)
-    terms[at_pole] = -math.inf
-    return terms
-
-
 def pfwa_table(
     m: np.ndarray, n: np.ndarray, weights: Sequence[float] | np.ndarray, aggregator: Aggregator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -178,9 +168,7 @@ def pfwa_table(
     column raises DegenerateWeights, and so does a table with no column left.
     Each row's weighted terms (its degrees, or their logs) are summed by
     `_row_sums` to exactly `math.fsum`'s result, so the column order cannot
-    change a bit.
-    log1p, log, expm1 and exp are `math`'s, because numpy's differ in the
-    last bit on a few percent of inputs, and per CPU; the rest runs in numpy."""
+    change a bit.  log1p, log, expm1 and exp are `math`'s, through `_libm`."""
     w = np.asarray(weights, np.float64)
     if 0.0 in weights:  # cheap on a one-row tuple; on an array it tests every entry
         keep = w.reshape(-1, w.shape[-1]).any(axis=0)

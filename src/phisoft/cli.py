@@ -155,7 +155,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (PhiSoftError, OSError, ValueError) as exc:
+    except (PhiSoftError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

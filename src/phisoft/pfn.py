@@ -127,6 +127,16 @@ def _libm(fn, x: np.ndarray, *more: np.ndarray) -> np.ndarray:
     return np.fromiter(values, np.float64, x.size).reshape(x.shape)
 
 
+def _log_terms(log, x: np.ndarray, pole: float) -> np.ndarray:
+    """`math`'s log of each entry of x, which it overwrites: the limit, -inf, at
+    the pole, where log raises.  An entry below the pole raises math's ValueError."""
+    at_pole = x == pole
+    np.putmask(x, at_pole, 1.0)
+    terms = _libm(log, x)
+    terms[at_pole] = -math.inf
+    return terms
+
+
 def complement(x: PFN | PFNArray) -> PFN | PFNArray:
     """Swap membership and non-membership; an involution."""
     return _of_kind(x, x.n, x.m)
@@ -163,21 +173,15 @@ def mul_p(a: PFN | PFNArray, b: PFN | PFNArray) -> PFN | PFNArray:
     return complement(add_p(complement(a), complement(b)))
 
 
-def _one_minus_pow(s, alpha):
-    """sqrt(1 - (1-s)**alpha) for s in [0, 1], computed without cancellation."""
-    # expm1/log1p keep relative accuracy when s is tiny, so the exponent laws
-    # hold to machine precision instead of drifting near the boundary.
-    edge = s >= 1.0
-    log = _libm(math.log1p, np.where(edge, 0.0, -s))
-    return np.where(edge, 1.0, np.sqrt(-_libm(math.expm1, alpha * log)))
-
-
 def scalar_mul(alpha: float | np.ndarray, x: PFN | PFNArray) -> PFN | PFNArray:
     """alpha-multiple: (sqrt(1 - (1-m**2)**alpha), n**alpha), alpha > 0."""
     if not (np.asarray(alpha) > 0.0).all():  # NaN fails > 0 as well
         raise NonPositiveScalar(f"scalar multiples and powers need alpha > 0, got {alpha}")
+    # expm1/log1p keep relative accuracy when m is tiny, so the exponent laws
+    # hold to machine precision instead of drifting near the boundary.
+    terms = _log_terms(math.log1p, np.asarray(np.negative(x.m * x.m)), -1.0)
     n = _libm(pow, *np.broadcast_arrays(x.n, alpha))
-    return _of_kind(x, _one_minus_pow(x.m * x.m, alpha), n)
+    return _of_kind(x, np.sqrt(0.0 - _libm(math.expm1, alpha * terms)), n)
 
 
 def power(x: PFN | PFNArray, alpha: float | np.ndarray) -> PFN | PFNArray:

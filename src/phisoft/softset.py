@@ -239,7 +239,11 @@ def build(
         alt, name = next(key for key in product(alts, names) if key not in cells)
         raise MissingCell(f"missing cell ({alt}, {name})") from None
     if len(cells) != len(values):
-        extras = sorted(set(cells) - set(product(alts, names)))
+        extras = set(cells) - set(product(alts, names))
+        try:
+            extras = sorted(extras)
+        except TypeError:  # keys of kinds that do not compare
+            extras = sorted(extras, key=repr)
         raise MissingCell(f"unexpected cells outside the table: {extras[:5]}")
     values += importances
 

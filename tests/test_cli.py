@@ -191,6 +191,14 @@ def test_laws_refuses_a_negative_seed(capsys):
     assert "usage:" in err and "--seed: must be at least 0, got -1" in err
 
 
+def test_laws_reports_a_count_too_large_to_allocate(capsys):
+    # 10**15 cases ask for petabytes, beyond any address space, so the
+    # allocation is refused before a page is touched.
+    assert main(["laws", "--cases", str(10**15)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("option,text", [("--cases", "x"), ("--cases", "2.5"), ("--seed", "1.5")])
 def test_laws_refuses_a_count_that_is_not_an_integer(option, text, capsys):
     assert main(["laws", option, text]) == 2

@@ -34,7 +34,7 @@ from phisoft.errors import (
     OutOfRange,
     ParseError,
 )
-from phisoft import pfn
+from phisoft import aggregation, pfn
 from phisoft.pfn import VALIDITY_EPS, PFNArray, _valid, below, order_key, valid
 from phisoft.pfn import close as pfn_close
 
@@ -517,3 +517,40 @@ def test_scaling_an_array_of_another_dtype_gives_the_list_paths_bits(dtype, monk
     expected = scalar_mul(2.0, x), power(x, 0.3)
     for g, e in zip(got, expected):
         assert _bits(g.m) == _bits(e.m) and _bits(g.n) == _bits(e.n)
+
+
+# --- one pole rule: a scalar multiple's membership is the geometric kernel's --
+
+#: Memberships at and near log1p(-m**2)'s pole, m = 1, and tiny ones.
+POLE_EDGES = [0.0, 1.0, 1.0 - 2.0**-53, 2.0**-600, 1e-300, 0.9999999925526566]
+
+
+@pytest.mark.parametrize("rows", [5, 300], ids=["fsum", "cascade"])
+def test_a_scalar_multiples_membership_is_the_geometric_kernels(rows):
+    """scalar_mul(alpha, x).m is pfwa_table's geometric membership of x as a
+    one-column table weighted alpha per row, bit for bit.  Tables of 5 rows
+    go to math.fsum, 300 rows to the row-sum cascade."""
+    assert 5 < aggregation._CASCADE_MIN_ROWS <= 300
+    rng = np.random.default_rng(32)
+    m = np.concatenate([POLE_EDGES, rng.random(294)])
+    alpha = np.concatenate([rng.uniform(0.01, 5.0, 294), [1e-3, 0.5, 1.0, 2.0, 7.5, 1e3]])
+    got = scalar_mul(alpha, PFNArray(m, np.zeros(300))).m
+    for rows_of in np.split(np.arange(300), 300 // rows):
+        table = m[rows_of, None], np.zeros((rows, 1)), alpha[rows_of, None]
+        kernel_m, _ = aggregation.pfwa_table(*table, aggregation.Aggregator.GEOMETRIC)
+        assert _bits(kernel_m) == _bits(got[rows_of])
+
+
+def test_an_entry_past_the_pole_raises_alike_in_scalar_mul_and_the_kernel():
+    m, n = np.array([0.5, 1.5]), np.zeros(2)
+    raised = []
+    for past_the_pole in (
+        lambda: scalar_mul(2.0, PFNArray(m, n)),
+        lambda: power(PFNArray(n, m), 2.0),
+        lambda: aggregation.pfwa_table(
+            m[:, None], n[:, None], [1.0], aggregation.Aggregator.GEOMETRIC),
+    ):
+        with pytest.raises(ValueError) as error:
+            past_the_pole()
+        raised.append((type(error.value), str(error.value)))
+    assert raised == [(ValueError, "math domain error")] * 3

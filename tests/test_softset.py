@@ -157,6 +157,16 @@ class TestBuild:
                 ("p9", "s1"): (0.5, 0.5),
             })
 
+    @pytest.mark.parametrize("extras, listed", [
+        pytest.param({"junk": 1, ("x", "y"): 2}, "['junk', ('x', 'y')]", id="str-beside-tuple"),
+        pytest.param({None: 1, "k": 2}, "['k', None]", id="none-beside-str"),
+    ])
+    def test_unexpected_cells_that_do_not_compare_are_listed(self, extras, listed):
+        cells = {("a", "c"): (0.5, 0.4), **extras}
+        with pytest.raises(MissingCell) as raised:
+            build(["a"], [("c", (0.5, 0.4))], cells)
+        assert str(raised.value) == f"unexpected cells outside the table: {listed}"
+
     def test_invalid_importance_names_the_parameter(self):
         with pytest.raises(InvalidPFN, match="importance of 's1'"):
             build(["p1"], [("s1", (0.9, 0.9))], {("p1", "s1"): (0.5, 0.5)})
