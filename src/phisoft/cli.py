@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import builtins
+import gc
 import sys
 from pathlib import Path
 
@@ -158,6 +159,9 @@ def main(argv=None) -> int:
     except (PhiSoftError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if argv is None:  # this process's own run: its exit need not walk the imports' objects
+            gc.freeze()
 
 
 if __name__ == "__main__":

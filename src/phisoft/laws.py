@@ -50,7 +50,7 @@ def _sample_points(rng: np.random.Generator, count: int) -> np.ndarray:
     kept, have = [np.empty((0, 2))], 0
     while have < count:
         batch = rng.random((count - have + 16, 2))
-        kept.append(batch[batch[:, 0] ** 2 + batch[:, 1] ** 2 <= 1.0])
+        kept.append(batch.compress(batch[:, 0] ** 2 + batch[:, 1] ** 2 <= 1.0, axis=0))
         have += len(kept[-1])
     return np.concatenate(kept)[:count]
 
@@ -264,7 +264,7 @@ def geometric_closed_form_matches_fold(rng, cases: int):
     w = rng.uniform(1e-3, 1.0, (cases, 8))
     closed_m, closed_n, folded_m, folded_n = np.empty((4, cases))
     for size in range(1, 9):
-        sel = k == size
+        sel = np.flatnonzero(k == size)
         raw = w[sel, :size]
         w[sel, :size] = weights = raw / raw.sum(axis=1, keepdims=True)
         m, n = mn[sel, :size, 0], mn[sel, :size, 1]

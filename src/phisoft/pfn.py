@@ -275,12 +275,15 @@ def _order_key(order: OrderKind, m, es, sf, af) -> tuple:
     """`order_key` of the PFN (m, n), or of each entry, whose ES, score and
     accuracy are es, sf and af."""
     if order is OrderKind.MEMBERSHIP_THEN_ES:
-        return m / COMPARE_EPS // 1.0, es
-    if order is OrderKind.ES_THEN_MEMBERSHIP:
-        return es / COMPARE_EPS // 1.0, m
-    if order is OrderKind.SCORE_ACCURACY:
-        return sf / COMPARE_EPS // 1.0, af
-    raise TypeError(f"not a total order: {order!r}")
+        primary, tiebreak = m, es
+    elif order is OrderKind.ES_THEN_MEMBERSHIP:
+        primary, tiebreak = es, m
+    elif order is OrderKind.SCORE_ACCURACY:
+        primary, tiebreak = sf, af
+    else:
+        raise TypeError(f"not a total order: {order!r}")
+    y = primary / COMPARE_EPS  # np.floor: //'s bits at a fraction of its array cost; a float stays float
+    return (np.floor(y) if isinstance(y, np.ndarray) else y // 1.0), tiebreak
 
 
 def below(a: PFN | PFNArray, b: PFN | PFNArray, order: OrderKind) -> bool | np.ndarray:

@@ -1,6 +1,12 @@
 """Command-line behavior: subcommands, exit codes, output stability."""
 
+import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +129,42 @@ def test_decide_output_is_byte_stable(table_files, capsys):
     main(["decide", str(a), str(b)])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_an_in_process_run_freezes_no_objects(table_files, capsys):
+    before = gc.get_freeze_count()
+    assert main(["decide", *map(str, table_files)]) == 0
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# sha256 of `phisoft decide` on the two tables in demos/data.
+DEMO_DECIDE_SHA256 = "56abfdc79c8cb56384140e3b8dfe9f7336e14e89b6fcd130d80233a90d0befb6"
+
+
+def _run(*argv):
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    result = subprocess.run(
+        [sys.executable, *argv], capture_output=True, cwd=ROOT, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result
+
+
+def test_a_process_run_prints_the_same_bytes_and_freezes_the_heap_at_exit():
+    tables = ["demos/data/table1.csv", "demos/data/table2.csv"]
+    out = _run("-m", "phisoft.cli", "decide", *tables).stdout
+    assert hashlib.sha256(out).hexdigest() == DEMO_DECIDE_SHA256
+    code = (
+        "import gc, sys\n"
+        "from phisoft import cli\n"
+        f"sys.argv = ['phisoft', 'decide', *{tables!r}]\n"
+        "assert cli.main() == 0 and gc.get_freeze_count() > 0\n"
+    )
+    assert _run("-c", code).stdout == out
 
 
 def test_decide_json_report(table_files, tmp_path, capsys):

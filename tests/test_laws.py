@@ -112,6 +112,27 @@ def test_each_suite_draws_what_it_drew():
         assert copy.deepcopy(rng).random() == pinned, f"{law.__name__} moved the draws"
 
 
+def _reference_sample_points(rng, count):
+    """`laws._sample_points` as it was first written: it kept the accepted rows
+    of each batch with a boolean index."""
+    kept, have = [np.empty((0, 2))], 0
+    while have < count:
+        batch = rng.random((count - have + 16, 2))
+        kept.append(batch[batch[:, 0] ** 2 + batch[:, 1] ** 2 <= 1.0])
+        have += len(kept[-1])
+    return np.concatenate(kept)[:count]
+
+
+@pytest.mark.parametrize("seed", [0, 11, 17])
+@pytest.mark.parametrize("count", [0, 1, 7, 16, 5000, 40_000])
+def test_the_sampler_draws_what_the_boolean_index_drew(seed, count):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = laws._sample_points(rng, count), _reference_sample_points(reference, count)
+    assert got.shape == want.shape == (count, 2) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def test_suite_names_and_case_counts():
     names = [law.__name__.replace("_", "-") for law in laws.ALL_LAWS]
     assert names == [

@@ -20,7 +20,7 @@ from phisoft import (
     expectation_score,
     score,
 )
-from phisoft.pfn import accuracy, order_key
+from phisoft.pfn import _order_key, accuracy, below, order_key
 from conftest import TABLE1_CELLS, TABLE1_PARAMS, TABLE2_CELLS, TABLE2_PARAMS, UNIVERSE
 
 TOTAL_ORDERS = (
@@ -217,3 +217,47 @@ def test_ranking_follows_compare_on_near_ties(order):
         assert compare(upper.apfdv, lower.apfdv, order) is not Ordering.LESS
         if compare(upper.apfdv, lower.apfdv, order) is Ordering.EQUAL:
             assert (-upper.apfdv.m, upper.alternative) < (-lower.apfdv.m, lower.alternative)
+
+
+# --- the COMPARE_EPS grid: np.floor on arrays, // 1.0 on floats, the same bits --
+
+
+def _grid_primaries() -> np.ndarray:
+    """Seeded doubles from random 64-bit patterns whose quotient by COMPARE_EPS
+    is finite (a larger one overflows), seeded primaries in [-1, 1) as the
+    orders meet them, and the grid's edges, both signs."""
+    rng = np.random.default_rng(2024)
+    drawn = np.frombuffer(rng.bytes(8 * 50_000), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        drawn = drawn[np.isfinite(drawn / COMPARE_EPS)]
+    edges = [0.0, 5e-324, COMPARE_EPS, np.nextafter(COMPARE_EPS, 0.0),
+             np.nextafter(COMPARE_EPS, 1.0), *(k * COMPARE_EPS for k in (2, 3, 7, 10, 999, 10**6)),
+             1.0 - 2.0**-53, 2.0**52 * COMPARE_EPS]
+    return np.concatenate([drawn, rng.uniform(-1.0, 1.0, 20_000), edges, np.negative(edges)])
+
+
+@pytest.mark.parametrize("order", TOTAL_ORDERS, ids=ORDER_IDS)
+def test_the_array_grid_keeps_the_bits_of_floor_division(order):
+    x = _grid_primaries()
+    assert len(x) > 60_000 and np.signbit(x[x == 0.0]).any()
+    primary, tiebreak = _order_key(order, x, x, x, x)
+    assert primary.view(np.int64).tolist() == (x / COMPARE_EPS // 1.0).view(np.int64).tolist()
+    assert tiebreak is x
+
+
+@pytest.mark.parametrize("order", TOTAL_ORDERS, ids=ORDER_IDS)
+def test_keys_of_pfns_stay_floats_and_orders_stay_bools(order):
+    pool = _pool(order)
+    for a, b in itertools.product(pool[:9], repeat=2):
+        primary, tiebreak = order_key(order, a.m, a.n)
+        assert type(primary) is float and type(tiebreak) is float
+        assert type(below(a, b, order)) is bool
+        assert type(compare(a, b, order)) is Ordering
+
+
+@pytest.mark.parametrize(("m", "n", "primary"), [(np.inf, 0.1, np.inf), (0.1, np.inf, -np.inf)])
+def test_an_infinite_primary_off_the_disk_keys_as_infinity(m, n, primary):
+    # Only a PFNArray entry off the quarter disk has one; as_pfns refuses such
+    # an APFDV before decide takes its keys.
+    key, _ = order_key(OrderKind.SCORE_ACCURACY, np.array([m]), np.array([n]))
+    assert key.tolist() == [primary]
